@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the four standard verification experiments into one output directory.
+"""Run the five standard verification experiments into one output directory.
 
 Usage: python scripts/run_verification_suite.py [OUT_DIR]
 """

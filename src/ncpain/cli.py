@@ -3,8 +3,9 @@
 Subcommands: ``quasidet``, ``zc``, ``dress``, ``symmetric``.  Exit codes:
 0 success, 1 usage error, 2 numerical failure (near-singular data),
 3 truncated flow.  Reports are deterministic for fixed parameters and
-seed apart from the duration field; the NCPAIN_THREADS environment
-variable caps the worker pool used for parameter sweeps.
+seed apart from the duration field; NCPAIN_THREADS caps the worker pool of
+``zc``'s lambda sweep.  A reader closing stdout early changes neither the
+exit code nor the report.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .laxpair import (PiiState, SymState, build_A, build_B, first_integral,
                       zero_curvature_residual)
 from .quasidet import (BlockMatrix, quasideterminant, quasideterminant_oracle)
 from .reports import ExperimentReport, write_grid_csv
-from .ring import MatrixElement, NearSingularError, random_invertible
+from .ring import (MatrixElement, NearSingularError, random_invertible,
+                   random_matrix)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,6 +63,17 @@ def _pool_map(fn, items):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _print(*args, **kwargs):
+    """print() to stdout; once the reader has gone, output is discarded."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        # Later writes, and the flush at interpreter exit, then succeed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def parse_complex(text: str) -> complex:
@@ -166,9 +179,9 @@ def cmd_quasidet(args) -> int:
     oracle = quasideterminant_oracle(matrix, i - 1, j - 1)
     diff = (value - oracle).norm()
     rel = diff / max(1.0, value.norm())
-    print(f"quasideterminant ({i},{j}): {_matrix_value(value)}")
-    print(f"oracle value:            {_matrix_value(oracle)}")
-    print(f"discrepancy:             {rel:.6e}")
+    _print(f"quasideterminant ({i},{j}): {_matrix_value(value)}")
+    _print(f"oracle value:            {_matrix_value(oracle)}")
+    _print(f"discrepancy:             {rel:.6e}")
 
     report = ExperimentReport(
         experiment="quasidet",
@@ -223,8 +236,7 @@ def cmd_zero_curvature(args) -> int:
     if kind == "rational":
         sign = args.rational_sign
         c_val = parse_complex(args.C) if args.C is not None else 4.0 * sign
-        d = args.d
-        eye = MatrixElement.eye(d)
+        eye = MatrixElement.eye(args.d)
         for z in np.linspace(1.0, 2.0, 9):
             v = (sign / z) * eye
             v_z = (-sign / z ** 2) * eye
@@ -233,13 +245,7 @@ def cmd_zero_curvature(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         for _ in range(args.trials):
-            d = args.d
-            v = MatrixElement(rng.standard_normal((d, d))
-                              + 1j * rng.standard_normal((d, d)))
-            v_z = MatrixElement(rng.standard_normal((d, d))
-                                + 1j * rng.standard_normal((d, d)))
-            v_zz = MatrixElement(rng.standard_normal((d, d))
-                                 + 1j * rng.standard_normal((d, d)))
+            v, v_z, v_zz = (random_matrix(rng, args.d) for _ in range(3))
             z = complex(rng.standard_normal(), rng.standard_normal())
             c_val = (parse_complex(args.C) if args.C is not None
                      else complex(rng.standard_normal(),
@@ -259,11 +265,11 @@ def cmd_zero_curvature(args) -> int:
     overall = {key: max(p[key] for p in per_lambda)
                for key in per_lambda[0]}
     for lam, stats in zip(lambdas, per_lambda):
-        print(f"lambda = {lam}: max diagonal residual "
-              f"{max(stats['e11'], stats['e22']):.3e}, "
-              f"identity residual {stats['e12_identity']:.3e}")
-    print(f"overall max entry(1,2) identity residual: "
-          f"{overall['e12_identity']:.3e}")
+        _print(f"lambda = {lam}: max diagonal residual "
+               f"{max(stats['e11'], stats['e22']):.3e}, "
+               f"identity residual {stats['e12_identity']:.3e}")
+    _print(f"overall max entry(1,2) identity residual: "
+           f"{overall['e12_identity']:.3e}")
 
     report = ExperimentReport(
         experiment="zero_curvature",
@@ -301,19 +307,13 @@ def _seed_evaluator(kind: str, d: int):
 def _residual_stats(grid: GridFunction, mask: np.ndarray, c_val: complex
                     ) -> dict:
     residual = pii_residual_grid(grid, c_val)
-    stencil_ok = mask[:-2] & mask[1:-1] & mask[2:]
-    valid = int(stencil_ok.sum())
-    stats = {
+    ok = mask[:-2] & mask[1:-1] & mask[2:]
+    return {
         "masked_fraction": float(1.0 - mask.mean()),
-        "stencil_points": valid,
+        "stencil_points": int(ok.sum()),
+        "residual_sup": residual.sup_norm(ok) if ok.any() else None,
+        "residual_mean": residual.mean_norm(ok) if ok.any() else None,
     }
-    if valid:
-        stats["residual_sup"] = residual.sup_norm(stencil_ok)
-        stats["residual_mean"] = residual.mean_norm(stencil_ok)
-    else:
-        stats["residual_sup"] = None
-        stats["residual_mean"] = None
-    return stats
 
 
 def cmd_dressing(args) -> int:
@@ -333,13 +333,10 @@ def cmd_dressing(args) -> int:
 
     seed_grid = GridFunction.sample(seed_fn, z0, h, n)
     one = seed_grid[0].one_like()
-
-    def eigenpair(gamma):
-        chi, phi = integrate_linear(seed_fn, gamma, (one, one), z0, h, n,
-                                    convention=args.convention)
-        return SpectralPoint(gamma, chi, phi)
-
-    points = _pool_map(eigenpair, gammas)
+    pairs = integrate_linear(seed_fn, gammas, (one, one), z0, h, n,
+                             convention=args.convention) if gammas else []
+    points = [SpectralPoint(g, chi, phi)
+              for g, (chi, phi) in zip(gammas, pairs)]
     chain = DressingChain(tuple(points), seed_grid, c_val)
 
     grids, masks = masked_n_fold(chain, args.N)
@@ -347,30 +344,23 @@ def cmd_dressing(args) -> int:
     for k, (grid, mask) in enumerate(zip(grids, masks)):
         stats = _residual_stats(grid, mask, c_val)
         stage_stats.append({"stage": k, **stats})
-        csv_path = os.path.join(args.out, f"dress_v{k}.csv")
-        write_grid_csv(csv_path, grid)
+        write_grid_csv(os.path.join(args.out, f"dress_v{k}.csv"), grid)
+        sup = stats["residual_sup"]
+        _print(f"stage {k}: residual sup "
+               f"{'n/a' if sup is None else format(sup, '.3e')}, "
+               f"masked fraction {stats['masked_fraction']:.3f}")
 
+    discrepancy = None
     if args.N >= 1:
         direct, direct_mask = masked_iterated(chain, args.N)
         common = masks[args.N] & direct_mask
         if common.any():
-            diffs = [(a - b).norm()
-                     for a, b, ok in zip(grids[args.N].values, direct.values,
-                                         common) if ok]
+            diffs = (grids[args.N].batch - direct.batch).point_norms()
             ref = max(grids[args.N].sup_norm(common), 1.0)
-            discrepancy = max(diffs) / ref
-        else:
-            discrepancy = None
-    else:
-        discrepancy = None
+            discrepancy = float(diffs[common].max()) / ref
 
-    for entry in stage_stats:
-        sup = entry["residual_sup"]
-        sup_text = f"{sup:.3e}" if sup is not None else "n/a"
-        print(f"stage {entry['stage']}: residual sup {sup_text}, "
-              f"masked fraction {entry['masked_fraction']:.3f}")
     if discrepancy is not None:
-        print(f"quasideterminant vs direct discrepancy: {discrepancy:.3e}")
+        _print(f"quasideterminant vs direct discrepancy: {discrepancy:.3e}")
 
     report = ExperimentReport(
         experiment="dressing",
@@ -400,17 +390,13 @@ def cmd_symmetric(args) -> int:
         if d < 1:
             raise UsageError("--random-matrix needs d >= 1")
         rng = np.random.default_rng(args.seed)
-        v0 = random_invertible(rng, d, scale=0.5)
-        v1 = random_invertible(rng, d, scale=0.5)
-        v2 = random_invertible(rng, d, scale=0.5)
+        v0, v1, v2 = (random_invertible(rng, d, scale=0.5) for _ in range(3))
         data_desc = {"kind": "random", "d": d, "seed": args.seed}
     else:
-        v0 = MatrixElement.scalar(parse_complex(args.v0))
-        v1 = MatrixElement.scalar(parse_complex(args.v1))
-        v2 = MatrixElement.scalar(parse_complex(args.v2))
-        data_desc = {"kind": "scalar", "v0": parse_complex(args.v0),
-                     "v1": parse_complex(args.v1),
-                     "v2": parse_complex(args.v2)}
+        fields = {k: parse_complex(getattr(args, k))
+                  for k in ("v0", "v1", "v2")}
+        v0, v1, v2 = (MatrixElement.scalar(x) for x in fields.values())
+        data_desc = {"kind": "scalar", **fields}
     alpha0 = parse_complex(args.alpha0)
     alpha1 = parse_complex(args.alpha1)
     state = SymState(v0, v1, v2, alpha0, alpha1, t0)
@@ -450,10 +436,10 @@ def cmd_symmetric(args) -> int:
     lax_worst = max((s["residual"] for s in lax_samples
                      if s["residual"] is not None), default=None)
     if lax_worst is not None:
-        print(f"max sampled Lax residual: {lax_worst:.3e}")
-    print(f"first-integral drift: {drift:.3e}")
+        _print(f"max sampled Lax residual: {lax_worst:.3e}")
+    _print(f"first-integral drift: {drift:.3e}")
     if reduction is not None:
-        print(f"reduction residual sup: {reduction['sup']:.3e}")
+        _print(f"reduction residual sup: {reduction['sup']:.3e}")
     if flow.truncated:
         print(f"flow truncated: {flow.reason}", file=sys.stderr)
 
@@ -549,13 +535,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
     except NearSingularError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code = EXIT_NUMERICAL
+    _print(end="", flush=True)  # a closed pipe shows here, not at exit
+    return code
 
 
 if __name__ == "__main__":

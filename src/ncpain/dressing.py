@@ -31,7 +31,7 @@ import numpy as np
 from .grid import GridFunction
 from .integrators import rk4_path
 from .quasidet import BlockMatrix, quasideterminant
-from .ring import NearSingularError, RingElement
+from .ring import MatrixElement, NearSingularError, RingElement
 
 CONVENTIONS = ("b-matrix", "d7")
 
@@ -101,11 +101,10 @@ def _grid_evaluator(f: GridFunction) -> Callable[[float], RingElement]:
     return ev
 
 
-def integrate_linear(v, lam: complex, init: tuple[RingElement, RingElement],
+def integrate_linear(v, lam, init: tuple[RingElement, RingElement],
                      z0: float | None = None, h: float | None = None,
                      n: int | None = None,
-                     convention: str = "b-matrix"
-                     ) -> tuple[GridFunction, GridFunction]:
+                     convention: str = "b-matrix"):
     """RK4 integration of the eigenfunction pair along z.
 
     ``v`` is either a closed-form evaluator z -> RingElement or a
@@ -113,6 +112,11 @@ def integrate_linear(v, lam: complex, init: tuple[RingElement, RingElement],
     Under the default convention the system is
 
         chi' = -2i lam chi + v phi,   phi' = v chi + 2i lam phi.
+
+    ``lam`` is one spectral parameter, giving one (chi, phi) pair of
+    grids, or a sequence of them, giving a list of pairs.  All parameters
+    are integrated as one stacked system: lambda enters as a batched
+    diagonal element with one position per parameter.
     """
     if convention not in _FACTORS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -131,37 +135,48 @@ def integrate_linear(v, lam: complex, init: tuple[RingElement, RingElement],
     chi0, phi0 = init
     if chi0.norm() == 0.0 and phi0.norm() == 0.0:
         raise ValueError("initial eigenfunction pair must not be zero")
+    lams = [complex(x) for x in np.atleast_1d(lam)]
+    lead = MatrixElement.scalars([-factor * 1j * x for x in lams], chi0.d)
+    trail = MatrixElement.scalars([factor * 1j * x for x in lams], chi0.d)
 
     def rhs(z, y):
         chi, phi = y
         vz = evaluate(z)
-        return ((-factor * 1j * lam) * chi + vz * phi,
-                vz * chi + (factor * 1j * lam) * phi)
+        return lead * chi + vz * phi, vz * chi + trail * phi
 
     states, _ = rk4_path(rhs, z0, (chi0, phi0), h, n - 1)
-    chi_grid = GridFunction(z0, h, tuple(s[0] for s in states))
-    phi_grid = GridFunction(z0, h, tuple(s[1] for s in states))
-    return chi_grid, phi_grid
+    # One component at a time, to bound peak memory; y0 is unbatched.
+    shape = (len(lams),) + chi0.data.shape
+    chi, phi = ([GridFunction(z0, h, MatrixElement(x)) for x in np.stack(
+        [np.broadcast_to(s[i].data, shape) for s in states], axis=1)]
+        for i in (0, 1))
+    pairs = list(zip(chi, phi))
+    return pairs if np.ndim(lam) else pairs[0]
 
 
-def _inv_at(el: RingElement, name: str, k: int, z: float) -> RingElement:
+def _at_point(exc: NearSingularError, f: GridFunction, prefix: str
+              ) -> NearSingularError:
+    # Names the first refused grid point of f.
+    k = exc.indices[0]
+    return exc.relabel(f"{prefix}grid point {k} (z = {f.z(k):.6g})")
+
+
+def _inv_at(f: GridFunction, name: str) -> MatrixElement:
     try:
-        return el.inv()
+        return f.batch.inv()
     except NearSingularError as exc:
-        raise NearSingularError(
-            str(exc), condition=exc.condition,
-            where=f"{name} at grid point {k} (z = {z:.6g})") from exc
+        raise _at_point(exc, f, f"{name} at ") from exc
+
+
+def _dress(v: GridFunction, factor: MatrixElement) -> GridFunction:
+    return GridFunction(v.z0, v.h, factor * v.batch * factor)
 
 
 def darboux_once(v: GridFunction, p: SpectralPoint) -> GridFunction:
-    """Pointwise phi chi^-1 v phi chi^-1 over the common grid."""
+    """phi chi^-1 v phi chi^-1 at every point of the common grid."""
     if not p.chi.same_grid(v):
         raise ValueError("spectral point grid must match the solution grid")
-    out = []
-    for k in range(len(v)):
-        factor = p.phi[k] * _inv_at(p.chi[k], "chi", k, v.z(k))
-        out.append(factor * v[k] * factor)
-    return GridFunction(v.z0, v.h, tuple(out))
+    return _dress(v, p.phi.batch * _inv_at(p.chi, "chi"))
 
 
 def dt_eigenfunctions(gamma0: complex, chi0: GridFunction, phi0: GridFunction,
@@ -175,33 +190,26 @@ def dt_eigenfunctions(gamma0: complex, chi0: GridFunction, phi0: GridFunction,
     for other in (phi0, chi1, phi1):
         if not chi0.same_grid(other):
             raise ValueError("all eigenfunction grids must match")
-    chi_out, phi_out = [], []
-    for k in range(len(chi0)):
-        z = chi0.z(k)
-        chi1_inv = _inv_at(chi1[k], "chi1", k, z)
-        phi1_inv = _inv_at(phi1[k], "phi1", k, z)
-        chi_out.append(gamma0 * phi0[k]
-                       - gamma1 * (phi1[k] * chi1_inv * chi0[k]))
-        phi_out.append(gamma0 * chi0[k]
-                       - gamma1 * (chi1[k] * phi1_inv * phi0[k]))
-    return (GridFunction(chi0.z0, chi0.h, tuple(chi_out)),
-            GridFunction(chi0.z0, chi0.h, tuple(phi_out)))
+    chi1_inv = _inv_at(chi1, "chi1")
+    phi1_inv = _inv_at(phi1, "phi1")
+    chi_out = gamma0 * phi0.batch \
+        - gamma1 * (phi1.batch * chi1_inv * chi0.batch)
+    phi_out = gamma0 * chi0.batch \
+        - gamma1 * (chi1.batch * phi1_inv * phi0.batch)
+    return (GridFunction(chi0.z0, chi0.h, chi_out),
+            GridFunction(chi0.z0, chi0.h, phi_out))
 
 
-def _weight_matrix_at(points: Sequence[SpectralPoint], n: int, k: int,
-                      first_row_chi: bool) -> BlockMatrix:
+def _weight_matrix(points: Sequence[SpectralPoint], n: int,
+                   first_row_chi: bool) -> BlockMatrix:
     # Rows r = 0..n carry weights gamma^r and alternate chi/phi entries;
     # columns run over points[n], points[n-1], ..., points[0].
-    rows = []
-    for r in range(n + 1):
-        chi_row = (r % 2 == 0) == first_row_chi
-        row = []
-        for c in range(n + 1):
-            p = points[n - c]
-            base = p.chi[k] if chi_row else p.phi[k]
-            row.append((p.gamma ** r) * base)
-        rows.append(row)
-    return BlockMatrix(rows)
+    def entry(p, r):
+        base = p.chi if (r % 2 == 0) == first_row_chi else p.phi
+        return (p.gamma ** r) * base.batch
+
+    return BlockMatrix([[entry(p, r) for p in reversed(points[:n + 1])]
+                        for r in range(n + 1)])
 
 
 def quasidet_eigenfunctions(points: Sequence[SpectralPoint],
@@ -222,87 +230,92 @@ def quasidet_eigenfunctions(points: Sequence[SpectralPoint],
     target = points[0]
     if n == 0:
         return target.chi, target.phi
-    used = points[:n + 1]
     grid = target.chi
-    chi_out, phi_out = [], []
-    for k in range(len(grid)):
-        z = grid.z(k)
-        mat_chi = _weight_matrix_at(used, n, k, first_row_chi=True)
-        mat_phi = _weight_matrix_at(used, n, k, first_row_chi=False)
-        try:
-            chi_out.append(quasideterminant(mat_chi, n, n))
-            phi_out.append(quasideterminant(mat_phi, n, n))
-        except NearSingularError as exc:
-            raise NearSingularError(
-                str(exc), condition=exc.condition,
-                where=f"grid point {k} (z = {z:.6g})") from exc
-    return (GridFunction(grid.z0, grid.h, tuple(chi_out)),
-            GridFunction(grid.z0, grid.h, tuple(phi_out)))
-
-
-def _stage_pair(points: Sequence[SpectralPoint], k: int
-                ) -> tuple[GridFunction, GridFunction]:
-    # (k-1)-fold transformed eigenfunctions of chain point k (1-based):
-    # target first, then the already-used points 1..k-1.
-    seq = [points[k - 1]] + list(points[:k - 1])
-    return quasidet_eigenfunctions(seq, k - 1)
+    try:
+        chi = quasideterminant(_weight_matrix(points, n, True), n, n)
+        phi = quasideterminant(_weight_matrix(points, n, False), n, n)
+    except NearSingularError as exc:
+        raise _at_point(exc, grid, "") from exc
+    return (GridFunction(grid.z0, grid.h, chi),
+            GridFunction(grid.z0, grid.h, phi))
 
 
 def theta_factor(points: Sequence[SpectralPoint], k: int) -> GridFunction:
     """Stage-k dressing factor phi_k[k] * chi_k[k]^-1 as a grid."""
-    chi_g, phi_g = _stage_pair(points, k)
-    out = []
-    for idx in range(len(chi_g)):
-        out.append(phi_g[idx]
-                   * _inv_at(chi_g[idx], f"stage-{k} chi", idx, chi_g.z(idx)))
-    return GridFunction(chi_g.z0, chi_g.h, tuple(out))
+    # (k-1)-fold transformed eigenfunctions of chain point k (1-based):
+    # target first, then the already-used points 1..k-1.
+    chi_g, phi_g = quasidet_eigenfunctions(
+        [points[k - 1]] + list(points[:k - 1]), k - 1)
+    factor = phi_g.batch * _inv_at(chi_g, f"stage-{k} chi")
+    return GridFunction(chi_g.z0, chi_g.h, factor)
+
+
+def _check_fold(chain: DressingChain, n: int):
+    if n < 0 or n > len(chain.points):
+        raise ValueError(f"fold count {n} outside 0..{len(chain.points)}")
 
 
 def n_fold_darboux(chain: DressingChain, n: int) -> GridFunction:
-    """v[n] = T_n ... T_1 v T_1 ... T_n, evaluated pointwise.
+    """v[n] = T_n ... T_1 v T_1 ... T_n at every grid point.
 
     n = 0 returns the seed unchanged; n = 1 coincides with darboux_once.
     """
-    if n < 0 or n > len(chain.points):
-        raise ValueError(f"fold count {n} outside 0..{len(chain.points)}")
+    _check_fold(chain, n)
     v = chain.seed
-    if n == 0:
-        return v
-    factors = [theta_factor(chain.points, k) for k in range(1, n + 1)]
-    out = []
-    for idx in range(len(v)):
-        acc = v[idx]
-        for factor in factors:
-            f = factor[idx]
-            acc = f * acc * f
-        out.append(acc)
-    return GridFunction(v.z0, v.h, tuple(out))
+    for k in range(1, n + 1):
+        v = _dress(v, theta_factor(chain.points, k).batch)
+    return v
 
 
 def iterated_darboux(chain: DressingChain, n: int) -> GridFunction:
     """v[n] by literal iteration: dress, transform remaining eigenfunctions.
 
     Independent of the quasideterminant route; used to cross-check it.
+    Only the first n chain points are used and transformed.
     """
-    if n < 0 or n > len(chain.points):
-        raise ValueError(f"fold count {n} outside 0..{len(chain.points)}")
+    _check_fold(chain, n)
     v = chain.seed
-    current = list(chain.points)
+    current = list(chain.points[:n])
     for k in range(n):
         p = current[k]
         v = darboux_once(v, p)
-        for j in range(k + 1, len(current)):
+        for j in range(k + 1, n):
             q = current[j]
-            chi_new, phi_new = dt_eigenfunctions(q.gamma, q.chi, q.phi,
-                                                 p.gamma, p.chi, p.phi)
-            current[j] = SpectralPoint(q.gamma, chi_new, phi_new)
+            current[j] = SpectralPoint(q.gamma, *dt_eigenfunctions(
+                q.gamma, q.chi, q.phi, p.gamma, p.chi, p.phi))
     return v
 
 
 # -- masked pipeline -------------------------------------------------------
 
-def _nan_like(el: RingElement) -> RingElement:
-    return float("nan") * el.one_like()
+def _masked(route: Callable[[DressingChain], GridFunction],
+            chain: DressingChain, valid: np.ndarray
+            ) -> tuple[GridFunction, np.ndarray]:
+    """route(chain) on the ``valid`` grid points, NaN-filled elsewhere.
+
+    Points a refusal lists are dropped and the strict route reruns on the
+    rest.  Returns the filled grid and the mask of the points it covers.
+    """
+    seed = chain.seed
+    data = np.full(seed.batch.data.shape, complex("nan+nanj"))
+    keep = np.flatnonzero(valid)
+
+    def take(f):  # f on the points still kept (no copy while all are)
+        return f if keep.size == len(f) else GridFunction(f.z0, f.h, f[keep])
+
+    while keep.size:
+        points = [SpectralPoint(p.gamma, take(p.chi), take(p.phi))
+                  for p in chain.points]
+        try:
+            data[keep] = route(DressingChain(points, take(seed), chain.C)
+                               ).batch.data
+            break
+        except NearSingularError as exc:
+            if exc.indices is None:
+                raise
+            keep = np.delete(keep, exc.indices)
+    return (GridFunction(seed.z0, seed.h, MatrixElement(data)),
+            np.isin(np.arange(len(seed)), keep))
 
 
 def masked_n_fold(chain: DressingChain, n: int
@@ -313,74 +326,22 @@ def masked_n_fold(chain: DressingChain, n: int
     masked there and in every later stage (NaN fill); no exception
     escapes.  Returns (grids, masks), both of length n + 1.
     """
-    if n < 0 or n > len(chain.points):
-        raise ValueError(f"fold count {n} outside 0..{len(chain.points)}")
-    length = len(chain.seed)
+    _check_fold(chain, n)
     grids = [chain.seed]
-    masks = [np.ones(length, dtype=bool)]
-    prev_values = list(chain.seed.values)
-    prev_mask = masks[0]
+    masks = [np.ones(len(chain.seed), dtype=bool)]
     for k in range(1, n + 1):
-        mask = prev_mask.copy()
-        factor_values: list = [None] * length
-        for idx in range(length):
-            if not mask[idx]:
-                continue
-            try:
-                if k == 1:
-                    chi_v = chain.points[0].chi[idx]
-                    phi_v = chain.points[0].phi[idx]
-                else:
-                    seq = [chain.points[k - 1]] + list(chain.points[:k - 1])
-                    mat_chi = _weight_matrix_at(seq, k - 1, idx, True)
-                    mat_phi = _weight_matrix_at(seq, k - 1, idx, False)
-                    chi_v = quasideterminant(mat_chi, k - 1, k - 1)
-                    phi_v = quasideterminant(mat_phi, k - 1, k - 1)
-                factor_values[idx] = phi_v * chi_v.inv()
-            except NearSingularError:
-                mask[idx] = False
-        values = []
-        for idx in range(length):
-            if mask[idx]:
-                f = factor_values[idx]
-                values.append(f * prev_values[idx] * f)
-            else:
-                values.append(_nan_like(chain.seed[0]))
-        grids.append(GridFunction(chain.seed.z0, chain.seed.h, tuple(values)))
+        grid, mask = _masked(
+            lambda sub, k=k: _dress(sub.seed,
+                                    theta_factor(sub.points, k).batch),
+            DressingChain(chain.points[:k], grids[-1], chain.C), masks[-1])
+        grids.append(grid)
         masks.append(mask)
-        prev_values = values
-        prev_mask = mask
     return grids, masks
 
 
 def masked_iterated(chain: DressingChain, n: int
                     ) -> tuple[GridFunction, np.ndarray]:
     """Final stage of the iterated route with a validity mask."""
-    length = len(chain.seed)
-    mask = np.ones(length, dtype=bool)
-    values = list(chain.seed.values)
-    current = [(p.gamma, list(p.chi.values), list(p.phi.values))
-               for p in chain.points[:n]]
-    for k in range(n):
-        g1, chi1, phi1 = current[k]
-        for idx in range(length):
-            if not mask[idx]:
-                continue
-            try:
-                factor = phi1[idx] * chi1[idx].inv()
-                values[idx] = factor * values[idx] * factor
-                for j in range(k + 1, n):
-                    gj, chij, phij = current[j]
-                    chi1_inv = chi1[idx].inv()
-                    phi1_inv = phi1[idx].inv()
-                    new_chi = gj * phij[idx] \
-                        - g1 * (phi1[idx] * chi1_inv * chij[idx])
-                    new_phi = gj * chij[idx] \
-                        - g1 * (chi1[idx] * phi1_inv * phij[idx])
-                    chij[idx] = new_chi
-                    phij[idx] = new_phi
-            except NearSingularError:
-                mask[idx] = False
-    out = [v if ok else _nan_like(chain.seed[0])
-           for v, ok in zip(values, mask)]
-    return GridFunction(chain.seed.z0, chain.seed.h, tuple(out)), mask
+    return _masked(lambda sub: iterated_darboux(sub, n),
+                   DressingChain(chain.points[:n], chain.seed, chain.C),
+                   np.ones(len(chain.seed), dtype=bool))

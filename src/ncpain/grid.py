@@ -1,4 +1,4 @@
-"""Uniformly sampled RingElement-valued functions of a real variable."""
+"""Uniformly sampled matrix-valued functions of a real variable."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ring import RingElement
+from .ring import MatrixElement
 
 # A centred second-difference needs interior points on both sides.
 MIN_STENCIL_LENGTH = 5
@@ -15,38 +15,49 @@ MIN_STENCIL_LENGTH = 5
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Values of a RingElement-valued function on z0 + k*h, k = 0..len-1."""
+    """Values of a matrix-valued function on z0 + k*h, k = 0..len-1.
+
+    The values live in one batched MatrixElement, ``batch``, whose data has
+    shape (len, d, d), so a ring formula applied to ``batch`` is evaluated
+    at every grid point at once.  The constructor also takes a sequence of
+    per-point (d, d) elements and stacks it.  ``grid[k]`` is the element at
+    point k, ``grid[a:b]`` (or an index array) the batched element of those
+    points, and ``values`` the tuple of per-point elements.
+    """
 
     z0: float
     h: float
-    values: tuple[RingElement, ...]
+    batch: MatrixElement
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
         if self.h <= 0:
             raise ValueError("grid step must be positive")
-        if not self.values:
-            raise ValueError("grid needs at least one value")
+        if not isinstance(self.batch, MatrixElement):
+            object.__setattr__(self, "batch",
+                               MatrixElement([v.data for v in self.batch]))
+        if self.batch.data.ndim != 3 or not len(self.batch.data):
+            raise ValueError("grid needs a non-empty batch of values")
 
     @classmethod
-    def sample(cls, fn: Callable[[float], RingElement], z0: float, h: float,
+    def sample(cls, fn: Callable[[float], MatrixElement], z0: float, h: float,
                n: int) -> "GridFunction":
         return cls(z0, h, tuple(fn(z0 + k * h) for k in range(n)))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.batch.data)
 
-    def __getitem__(self, k: int) -> RingElement:
-        return self.values[k]
+    def __getitem__(self, k) -> MatrixElement:
+        return MatrixElement(self.batch.data[k])
+
+    @property
+    def values(self) -> tuple[MatrixElement, ...]:
+        return tuple(MatrixElement(x) for x in self.batch.data)
 
     def z(self, k: int) -> float:
         return self.z0 + k * self.h
 
     def zs(self) -> np.ndarray:
-        return self.z0 + self.h * np.arange(len(self.values))
-
-    def map(self, fn: Callable[[RingElement], RingElement]) -> "GridFunction":
-        return GridFunction(self.z0, self.h, tuple(fn(v) for v in self.values))
+        return self.z0 + self.h * np.arange(len(self))
 
     def same_grid(self, other: "GridFunction") -> bool:
         return (len(self) == len(other)
@@ -55,22 +66,22 @@ class GridFunction:
 
     def sup_norm(self, mask: Sequence[bool] | None = None) -> float:
         norms = self._masked_norms(mask)
-        return max(norms) if norms else float("nan")
+        return float(norms.max()) if norms.size else float("nan")
 
     def mean_norm(self, mask: Sequence[bool] | None = None) -> float:
         norms = self._masked_norms(mask)
-        return sum(norms) / len(norms) if norms else float("nan")
+        # Sequential sum in grid order: the bits of a per-point loop.
+        return sum(norms.tolist()) / norms.size if norms.size \
+            else float("nan")
 
-    def _masked_norms(self, mask):
-        if mask is None:
-            return [v.norm() for v in self.values]
-        return [v.norm() for v, ok in zip(self.values, mask) if ok]
+    def _masked_norms(self, mask) -> np.ndarray:
+        norms = self.batch.point_norms()
+        return norms if mask is None else norms[np.asarray(mask, dtype=bool)]
 
     def allclose(self, other: "GridFunction", rtol=1e-9, atol=1e-12) -> bool:
         if not self.same_grid(other):
             return False
-        return all(a.allclose(b, rtol=rtol, atol=atol)
-                   for a, b in zip(self.values, other.values))
+        return self.batch.allclose(other.batch, rtol=rtol, atol=atol)
 
 
 def require_stencil_length(f: GridFunction):

@@ -18,10 +18,8 @@ def rk4_step(f: Rhs, t: float, y: State, h: float) -> State:
     k2 = f(t + h / 2, _axpy(y, k1, h / 2))
     k3 = f(t + h / 2, _axpy(y, k2, h / 2))
     k4 = f(t + h, _axpy(y, k3, h))
-    out = []
-    for yi, a, b, c, d in zip(y, k1, k2, k3, k4):
-        out.append(yi + (h / 6) * (a + 2 * b + 2 * c + d))
-    return tuple(out)
+    return tuple(yi + (h / 6) * (a + 2 * b + 2 * c + d)
+                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
 def rk4_path(f: Rhs, t0: float, y0: State, h: float, steps: int,

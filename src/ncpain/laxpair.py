@@ -26,9 +26,11 @@ from dataclasses import dataclass
 from .grid import GridFunction, require_stencil_length
 from .integrators import rk4_path
 from .quasidet import BlockMatrix
-from .ring import NearSingularError, RingElement, anticommutator
+from .ring import MatrixElement, NearSingularError, RingElement, anticommutator
 
 NORMALIZED_ALPHA_SUM = 2.0
+# pii_residual_grid works in blocks of this many points to bound its memory.
+STENCIL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -116,11 +118,14 @@ def pii_from_zero_curvature(residual: BlockMatrix) -> RingElement:
     return 1j * residual.entry(0, 1)
 
 
-def pii_residual_exact(v: RingElement, v_zz: RingElement, z: complex,
+def pii_residual_exact(v: RingElement, v_zz: RingElement, z,
                        C: complex) -> RingElement:
-    """v_zz - 2 v^3 + 2 [z, v]_+ - C, with z acting as z * one."""
+    """v_zz - 2 v^3 + 2 [z, v]_+ - C, with z acting as z * one.
+
+    ``z`` is a number, or a batched central element holding each point's z.
+    """
     one = v.one_like()
-    z_el = complex(z) * one
+    z_el = z if isinstance(z, RingElement) else complex(z) * one
     return v_zz - 2 * (v * v * v) + 2 * anticommutator(z_el, v) - C * one
 
 
@@ -134,12 +139,15 @@ def pii_residual_grid(f: GridFunction, C: complex,
     """
     require_stencil_length(f)
     inv_h2 = 1.0 / (f.h * f.h)
-    out = []
-    for k in range(1, len(f) - 1):
-        v = f[k]
-        v_zz = (f[k - 1] - 2 * v + f[k + 1]) * inv_h2
-        out.append(pii_residual_exact(v, v_zz, f.z(k) + z_shift, C))
-    return GridFunction(f.z0 + f.h, f.h, tuple(out))
+    zs = f.zs() + z_shift
+    out = f.batch.data[1:-1].copy()
+    for lo in range(1, len(f) - 1, STENCIL_BLOCK):
+        hi = min(lo + STENCIL_BLOCK, len(f) - 1)
+        v = f[lo:hi]
+        v_zz = (f[lo - 1:hi - 1] - 2 * v + f[lo + 1:hi + 1]) * inv_h2
+        z = MatrixElement.scalars(zs[lo:hi], v.d)
+        out[lo - 1:hi - 1] = pii_residual_exact(v, v_zz, z, C).data
+    return GridFunction(f.z0 + f.h, f.h, MatrixElement(out))
 
 
 # -- symmetric three-field representation ---------------------------------
@@ -171,13 +179,11 @@ def build_P(s: SymState) -> BlockMatrix:
     try:
         v0_inv = s.v0.inv()
     except NearSingularError as exc:
-        raise NearSingularError(str(exc), condition=exc.condition,
-                                where="v0") from exc
+        raise exc.relabel("v0") from exc
     try:
         v1_inv = s.v1.inv()
     except NearSingularError as exc:
-        raise NearSingularError(str(exc), condition=exc.condition,
-                                where="v1") from exc
+        raise exc.relabel("v1") from exc
     rho1 = -s.v2 - (0.5 * s.alpha0) * v0_inv
     rho2 = -s.v2 + (0.5 * s.alpha1) * v1_inv
     sigma = s.v0 - s.v1 + 2 * s.v2

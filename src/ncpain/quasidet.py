@@ -61,9 +61,7 @@ class BlockMatrix:
     def __sub__(self, other):
         if not isinstance(other, BlockMatrix):
             return NotImplemented
-        self._require_same_shape(other)
-        return BlockMatrix([[a - b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.entries, other.entries)])
+        return self + (-other)
 
     def __neg__(self):
         return BlockMatrix([[-a for a in row] for row in self.entries])
@@ -139,8 +137,7 @@ def _inverse_labeled(block: BlockMatrix, label: str) -> BlockMatrix:
     try:
         return block_inverse(block)
     except NearSingularError as exc:
-        raise NearSingularError(str(exc), condition=exc.condition,
-                                where=label) from exc
+        raise exc.relabel(label) from exc
 
 
 def block_inverse(a: BlockMatrix) -> BlockMatrix:
@@ -167,10 +164,10 @@ def block_inverse(a: BlockMatrix) -> BlockMatrix:
     s = a._block(k, n, k, n)
     p_inv = _inverse_labeled(p, "leading diagonal block")
     s_inv = _inverse_labeled(s, "trailing diagonal block")
-    schur_lead = p - q @ (s_inv @ r)
-    schur_trail = s - r @ (p_inv @ q)
-    lead_inv = _inverse_labeled(schur_lead, "Schur complement of leading block")
-    trail_inv = _inverse_labeled(schur_trail,
+    # Each Schur complement is freed as soon as it is inverted.
+    lead_inv = _inverse_labeled(p - q @ (s_inv @ r),
+                                "Schur complement of leading block")
+    trail_inv = _inverse_labeled(s - r @ (p_inv @ q),
                                  "Schur complement of trailing block")
     return _stack(lead_inv,
                   -(p_inv @ q @ trail_inv),
@@ -192,12 +189,8 @@ def quasideterminant(a: BlockMatrix, i: int, j: int) -> RingElement:
         raise IndexError(f"position ({i},{j}) outside {n}x{n} matrix")
     if n == 1:
         return a.entry(0, 0)
-    try:
-        sub_inv = block_inverse(a.submatrix(i, j))
-    except NearSingularError as exc:
-        raise NearSingularError(str(exc), condition=exc.condition,
-                                where=f"submatrix for position ({i},{j})"
-                                ) from exc
+    sub_inv = _inverse_labeled(a.submatrix(i, j),
+                               f"submatrix for position ({i},{j})")
     row = [a.entry(i, q) for q in range(n) if q != j]
     col = [a.entry(p, j) for p in range(n) if p != i]
     acc = a.entry(i, j)
@@ -215,8 +208,7 @@ def quasideterminant_oracle(a: BlockMatrix, i: int, j: int) -> RingElement:
     try:
         return full_inv.entry(j, i).inv()
     except NearSingularError as exc:
-        raise NearSingularError(str(exc), condition=exc.condition,
-                                where=f"inverse entry ({j},{i})") from exc
+        raise exc.relabel(f"inverse entry ({j},{i})") from exc
 
 
 def all_quasideterminants(a: BlockMatrix) -> list[list[RingElement]]:
@@ -227,14 +219,11 @@ def all_quasideterminants(a: BlockMatrix) -> list[list[RingElement]]:
 
 def to_complex_matrix(a: BlockMatrix) -> np.ndarray:
     """Flatten a scalar-backend (d = 1) BlockMatrix to a complex ndarray."""
-    out = np.empty((a.n, a.m), dtype=complex)
-    for i in range(a.n):
-        for j in range(a.m):
-            e = a.entry(i, j)
-            if not isinstance(e, MatrixElement) or e.d != 1:
-                raise ValueError("scalar backend (d = 1) required")
-            out[i, j] = e.data[0, 0]
-    return out
+    entries = [e for row in a.entries for e in row]
+    if not all(isinstance(e, MatrixElement) and e.data.shape == (1, 1)
+               for e in entries):
+        raise ValueError("scalar backend (d = 1, unbatched) required")
+    return np.array([e.data[0, 0] for e in entries]).reshape(a.n, a.m)
 
 
 def determinant_ratio(a: BlockMatrix, i: int, j: int) -> complex:

@@ -92,21 +92,14 @@ def write_grid_csv(path: str, grid: GridFunction) -> str:
     Entries are written row-major with 1-based labels; UTF-8, LF endings.
     Masked (NaN) points serialize as nan.
     """
-    d = grid[0].data.shape[0]
-    header = ["z"]
-    for r in range(1, d + 1):
-        for c in range(1, d + 1):
-            header.append(f"entry_{r}{c}_re")
-            header.append(f"entry_{r}{c}_im")
+    n, d = len(grid), grid.batch.d
+    header = ["z"] + [f"entry_{r}{c}_{part}" for r in range(1, d + 1)
+                      for c in range(1, d + 1) for part in ("re", "im")]
+    entries = grid.batch.data.reshape(n, d * d)
+    parts = np.stack([entries.real, entries.imag], axis=-1).reshape(n, -1)
+    table = np.column_stack([grid.zs(), parts])
     lines = [",".join(header)]
-    for k in range(len(grid)):
-        row = [repr(grid.z(k))]
-        data = grid[k].data
-        for r in range(d):
-            for c in range(d):
-                row.append(repr(float(data[r, c].real)))
-                row.append(repr(float(data[r, c].imag)))
-        lines.append(",".join(row))
+    lines.extend(",".join(map(repr, row.tolist())) for row in table)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -5,6 +5,12 @@ interface, so the same matrix builders and residual checks run unchanged
 over complex numbers, matrix rings, and the star-product polynomials of
 :mod:`ncpain.moyal`.  Elements are immutable values: all operations return
 fresh objects and are safe to share across threads.
+
+A ``MatrixElement`` may carry a leading batch axis, data of shape (n, d, d),
+one position per grid point or spectral parameter: each operation acts on
+every position and broadcasts plain (d, d) operands, so one evaluation of a
+formula covers a whole grid.  A refused batch inverse lists every failing
+position in ``NearSingularError.indices``.
 """
 
 from __future__ import annotations
@@ -27,17 +33,26 @@ class NearSingularError(ArithmeticError):
     """Inverse refused because the operand is too ill-conditioned.
 
     ``condition`` carries the estimated condition number (``inf`` for an
-    exactly singular operand).  ``where`` names the pivot block or grid
-    point that failed when the error is raised by a composite computation.
+    exactly singular operand); for a batched operand it is that of the
+    first refused position.  ``where`` names the pivot block or grid point
+    that failed when the error is raised by a composite computation.
+    ``indices`` is the sorted tuple of every refused batch position (the
+    grid points to mask), or None when the operand was not batched.
     """
 
     def __init__(self, message: str, condition: float | None = None,
-                 where: str | None = None):
+                 where: str | None = None, indices: tuple | None = None):
         if where is not None:
             message = f"{message} [{where}]"
         super().__init__(message)
         self.condition = condition
         self.where = where
+        self.indices = indices
+
+    def relabel(self, where: str) -> "NearSingularError":
+        """The same refusal, with ``where`` appended to its message."""
+        return NearSingularError(str(self), condition=self.condition,
+                                 where=where, indices=self.indices)
 
 
 class RingElement(abc.ABC):
@@ -125,7 +140,13 @@ class RingElement(abc.ABC):
 
 
 class MatrixElement(RingElement):
-    """Complex d x d matrix; d = 1 doubles as the scalar backend."""
+    """Complex d x d matrix, or a batch of them; d = 1 is the scalar backend.
+
+    ``data`` has shape (d, d), or (n, d, d) for a batch of n matrices that
+    every operation treats position by position; ``one_like``/``zero_like``
+    are unbatched and broadcast.  ``norm`` covers all of ``data``,
+    ``point_norms`` gives one Frobenius norm per batch position.
+    """
 
     __slots__ = ("data",)
 
@@ -133,15 +154,15 @@ class MatrixElement(RingElement):
         arr = np.array(data, dtype=np.complex128)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
             raise DimensionMismatchError(
-                f"expected a square array, got shape {arr.shape}")
+                f"expected (d, d) or (n, d, d) data, got shape {arr.shape}")
         arr.setflags(write=False)
         self.data = arr
 
     @property
     def d(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-1]
 
     @classmethod
     def eye(cls, d: int) -> "MatrixElement":
@@ -154,6 +175,11 @@ class MatrixElement(RingElement):
     @classmethod
     def scalar(cls, value: complex) -> "MatrixElement":
         return cls(np.array([[value]]))
+
+    @classmethod
+    def scalars(cls, values, d: int) -> "MatrixElement":
+        """Batch of central elements: values[k] times the d x d identity."""
+        return cls(np.asarray(values, complex)[:, None, None] * np.eye(d))
 
     def _require_same_ring(self, other):
         if not isinstance(other, MatrixElement):
@@ -180,14 +206,27 @@ class MatrixElement(RingElement):
     def inv(self):
         smin, smax = self.singular_extremes()
         if smin <= COND_FLOOR * smax or smax == 0.0:
-            cond = float("inf") if smin == 0.0 else smax / smin
-            raise NearSingularError(
-                f"matrix is near-singular (condition ~ {cond:.3e})",
-                condition=cond)
+            raise self._refusal()
         return MatrixElement(np.linalg.inv(self.data))
+
+    def _refusal(self) -> NearSingularError:
+        smin, smax = self._point_extremes()
+        bad = np.flatnonzero((smin <= COND_FLOOR * smax) | (smax == 0.0))
+        low, high = float(smin.flat[bad[0]]), float(smax.flat[bad[0]])
+        cond = float("inf") if low == 0.0 else high / low
+        return NearSingularError(
+            f"matrix is near-singular (condition ~ {cond:.3e})",
+            condition=cond,
+            indices=tuple(bad.tolist()) if self.data.ndim == 3 else None)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
+
+    def point_norms(self) -> np.ndarray:
+        """Frobenius norm of each batch position, as ``norm`` computes it."""
+        flat = self.data.reshape(*self.data.shape[:-2], -1)
+        return np.sqrt(np.vecdot(flat.real, flat.real)
+                       + np.vecdot(flat.imag, flat.imag))
 
     def one_like(self):
         return MatrixElement.eye(self.d)
@@ -195,11 +234,27 @@ class MatrixElement(RingElement):
     def zero_like(self):
         return MatrixElement.zeros(self.d)
 
+    def _point_extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        # Per batch position; one with a non-finite entry reads (0, inf).
+        finite = np.isfinite(self.data).all(axis=(-2, -1))
+        if finite.all():
+            s = np.linalg.svd(self.data, compute_uv=False)
+            return s[..., -1], s[..., 0]
+        s = np.linalg.svd(np.where(finite[..., None, None], self.data, 0.0),
+                          compute_uv=False)
+        return (np.where(finite, s[..., -1], 0.0),
+                np.where(finite, s[..., 0], np.inf))
+
     def singular_extremes(self):
-        if not np.all(np.isfinite(self.data)):
-            return 0.0, float("inf")
-        s = np.linalg.svd(self.data, compute_uv=False)
-        return float(s[-1]), float(s[0])
+        """(smallest, largest) singular value; for a batch, those of the
+        position with the smallest ratio smallest / largest."""
+        smin, smax = self._point_extremes()
+        if smin.ndim:
+            margin = np.divide(smin, smax, out=np.zeros_like(smin),
+                               where=smax > 0)
+            k = int(np.argmin(margin))
+            smin, smax = smin[k], smax[k]
+        return float(smin), float(smax)
 
     def condition(self) -> float:
         smin, smax = self.singular_extremes()
@@ -207,15 +262,12 @@ class MatrixElement(RingElement):
             return float("inf")
         return smax / smin
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data)))
-
     def allclose(self, other, rtol=1e-9, atol=1e-12):
         self._require_same_ring(other)
         return bool(np.allclose(self.data, other.data, rtol=rtol, atol=atol))
 
     def __repr__(self):
-        if self.d == 1:
+        if self.data.shape == (1, 1):
             return f"MatrixElement.scalar({self.data[0, 0]})"
         return f"MatrixElement({self.data.tolist()})"
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -216,3 +217,20 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "quasideterminant" in proc.stdout
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    # The reader is gone before the command starts, as in `ncpain ... | true`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncpain.cli", "zc", "--seed-kind",
+             "rational", "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert (tmp_path / "zc_report.json").exists()

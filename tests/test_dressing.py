@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ncpain import (DressingChain, GridFunction, MatrixElement,
+from ncpain import (BlockMatrix, DressingChain, GridFunction, MatrixElement,
                     NearSingularError, SpectralPoint, darboux_once,
-                    dt_eigenfunctions, integrate_linear, iterated_darboux,
-                    masked_iterated, masked_n_fold, n_fold_darboux,
-                    quasidet_eigenfunctions, theta_factor)
+                    determinant_ratio, dt_eigenfunctions, integrate_linear,
+                    iterated_darboux, masked_iterated, masked_n_fold,
+                    n_fold_darboux, quasidet_eigenfunctions,
+                    quasideterminant, theta_factor)
 
 from conftest import gaussian_element
 
@@ -31,6 +32,16 @@ def random_point(rng, gamma, d=2, n=8):
 
 def grid_diff(a, b):
     return max((x - y).norm() for x, y in zip(a.values, b.values))
+
+
+def weighted_array(points, n, k, first_row_chi):
+    """The gamma-weighted alternating chi/phi array at grid point k alone."""
+    rows = []
+    for r in range(n + 1):
+        chi_row = (r % 2 == 0) == first_row_chi
+        rows.append([(p.gamma ** r) * (p.chi[k] if chi_row else p.phi[k])
+                     for p in reversed(points[:n + 1])])
+    return BlockMatrix(rows)
 
 
 class TestIntegrateLinear:
@@ -179,6 +190,25 @@ class TestEigenfunctionTransforms:
         with pytest.raises(NearSingularError):
             quasidet_eigenfunctions(points, 2)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_quasidet_route_matches_determinant_ratio(self, n):
+        # d = 1 oracle sharing no arithmetic with the quasideterminant
+        # route: numpy determinants of the same weighted array.
+        points = []
+        for gamma in (3j, 1j, 2j)[:n + 1]:
+            chi, phi = integrate_linear(rational_field, gamma, (ONE, ONE),
+                                        1.0, 1e-3, 1001)
+            points.append(SpectralPoint(gamma, chi, phi))
+        worst = 0.0
+        for first_row_chi, grid in zip((True, False),
+                                       quasidet_eigenfunctions(points, n)):
+            for k in range(len(grid)):
+                expected = determinant_ratio(
+                    weighted_array(points, n, k, first_row_chi), n, n)
+                got = complex(grid[k].data[0, 0])
+                worst = max(worst, abs(got - expected) / abs(expected))
+        assert worst <= 1e-10
+
     def test_zero_gamma_chain_fails_at_second_stage(self, rng):
         p1 = random_point(rng, 0.0)
         p2 = SpectralPoint(0.0, p1.chi, p1.phi)
@@ -221,6 +251,21 @@ class TestNFold:
                             tuple(MatrixElement.zeros(2) for _ in range(8)))
         chain = DressingChain(points, seed, 0.0)
         assert n_fold_darboux(chain, 2).sup_norm() == 0.0
+
+    def test_matches_pointwise_evaluation_exactly(self, rng):
+        # The same generic formulas evaluated one grid point at a time.
+        chain = self._chain(rng, n_points=3)
+        dressed = n_fold_darboux(chain, 3)
+        for k in range(len(dressed)):
+            acc = chain.seed[k]
+            for stage in range(1, 4):
+                n = stage - 1
+                seq = [chain.points[n]] + list(chain.points[:n])
+                chi = quasideterminant(weighted_array(seq, n, k, True), n, n)
+                phi = quasideterminant(weighted_array(seq, n, k, False), n, n)
+                factor = phi * chi.inv()
+                acc = factor * acc * factor
+            assert np.array_equal(dressed[k].data, acc.data)
 
     def test_theta_factor_stage_one(self, rng):
         chain = self._chain(rng)
@@ -271,3 +316,29 @@ class TestMaskedPipeline:
         assert all(m.all() for m in masks)
         strict = n_fold_darboux(chain, 2)
         assert grid_diff(grids[2], strict) == 0.0
+
+    def test_refusals_at_different_inverses(self, rng):
+        # Point 4 is refused at stage 1 (chi1 = 0).  At point 7 the stage-2
+        # eigenfunction g2 phi2 - g1 phi1 chi1^-1 chi2 is exactly 0, so only
+        # stage 2 refuses it, in both routes.
+        n = 10
+        grids = [[gaussian_element(rng, 1) + 2.0 for _ in range(n)]
+                 for _ in range(4)]
+        chi1, phi1, chi2, phi2 = grids
+        chi1[4] = MatrixElement.scalar(0.0)
+        for values, x in zip(grids, (1.0, 1.0, 1.0, 0.5)):
+            values[7] = MatrixElement.scalar(x)
+        p1 = SpectralPoint(1j, GridFunction(1.0, 1e-3, chi1),
+                           GridFunction(1.0, 1e-3, phi1))
+        p2 = SpectralPoint(2j, GridFunction(1.0, 1e-3, chi2),
+                           GridFunction(1.0, 1e-3, phi2))
+        chain = DressingChain((p1, p2), random_grid(rng, 1, n), 4.0)
+        stages, masks = masked_n_fold(chain, 2)
+        assert np.flatnonzero(~masks[1]).tolist() == [4]
+        assert np.flatnonzero(~masks[2]).tolist() == [4, 7]
+        assert np.isnan(stages[2][7].data[0, 0].real)
+        direct, direct_mask = masked_iterated(chain, 2)
+        assert np.flatnonzero(~direct_mask).tolist() == [4, 7]
+        diffs = [(a - b).norm() for a, b, ok in
+                 zip(stages[2].values, direct.values, masks[2]) if ok]
+        assert max(diffs) <= 1e-10 * max(1.0, stages[2].sup_norm(masks[2]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncpain import GridFunction, MatrixElement
+from ncpain.reports import write_grid_csv
 
 
 def test_sampling_and_axis():
@@ -34,3 +35,43 @@ def test_validation():
         GridFunction(0.0, -1.0, (MatrixElement.scalar(1.0),))
     with pytest.raises(ValueError):
         GridFunction(0.0, 1.0, ())
+
+
+def test_batched_storage_and_access():
+    vals = [MatrixElement([[x, 1.0], [0.0, x]]) for x in (1.0, 2.0, 3.0, 4.0)]
+    f = GridFunction(0.0, 0.5, vals)
+    assert f.batch.data.shape == (4, 2, 2)
+    assert [v.data.tolist() for v in f.values] == [v.data.tolist()
+                                                   for v in vals]
+    assert np.array_equal(f[2].data, vals[2].data)
+    assert f[1:3].data.shape == (2, 2, 2)
+    same = GridFunction(0.0, 0.5, f.batch)
+    assert same.allclose(f)
+    with pytest.raises(ValueError):
+        GridFunction(0.0, 0.5, MatrixElement.eye(2))
+
+
+def test_norms_match_pointwise_loop_exactly(rng):
+    vals = [MatrixElement(rng.standard_normal((3, 3))
+                          + 1j * rng.standard_normal((3, 3)))
+            for _ in range(50)]
+    f = GridFunction(0.0, 0.1, vals)
+    norms = [v.norm() for v in vals]
+    mask = [k % 3 != 0 for k in range(50)]
+    kept = [x for x, ok in zip(norms, mask) if ok]
+    assert f.sup_norm() == max(norms)
+    assert f.mean_norm() == sum(norms) / len(norms)
+    assert f.mean_norm(mask) == sum(kept) / len(kept)
+
+
+def test_csv_rows_match_pointwise_formatting(tmp_path):
+    vals = [MatrixElement([[1.5, -0.0], [2e-300j, float("nan")]]),
+            MatrixElement([[-1 / 3, 1e20], [0.1 + 0.2j, -7.0]])]
+    f = GridFunction(1.0, 0.001, vals)
+    write_grid_csv(str(tmp_path / "g.csv"), f)
+    rows = (tmp_path / "g.csv").read_text(encoding="utf-8").splitlines()[1:]
+    for k, row in enumerate(rows):
+        expected = [repr(f.z(k))]
+        for x in vals[k].data.ravel():
+            expected += [repr(float(x.real)), repr(float(x.imag))]
+        assert row == ",".join(expected)

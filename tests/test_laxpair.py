@@ -9,6 +9,8 @@ from ncpain import (GridFunction, MatrixElement, PiiState, SymState,
                     pii_residual_grid, reduction_check, symmetric_rhs,
                     zero_curvature_residual)
 
+from ncpain.laxpair import STENCIL_BLOCK
+
 from conftest import gaussian_element
 
 LAMBDAS = (1.0 + 0j, 1j, 2 - 3j)
@@ -136,6 +138,19 @@ class TestPiiResidual:
         # stencil error ~ v'''' h^2 / 12 = 2 h^2 / z^5, about 2e-6 at z = 1
         assert res.sup_norm() <= 1e-5
         assert res.sup_norm() >= 1e-8
+
+    def test_grid_residual_matches_pointwise_exactly(self, rng):
+        # Longer than two evaluation blocks, so block edges are covered.
+        n = 2 * STENCIL_BLOCK + 7
+        f = GridFunction(1.0, 1e-3, [gaussian_element(rng, 2)
+                                     for _ in range(n)])
+        res = pii_residual_grid(f, 4.0, z_shift=0.3)
+        inv_h2 = 1.0 / (f.h * f.h)
+        assert len(res) == n - 2
+        for k in range(1, n - 1):
+            v_zz = (f[k - 1] - 2 * f[k] + f[k + 1]) * inv_h2
+            expected = pii_residual_exact(f[k], v_zz, f.z(k) + 0.3, 4.0)
+            assert np.array_equal(res[k - 1].data, expected.data)
 
     def test_grid_too_short(self):
         one = MatrixElement.eye(1)

@@ -172,3 +172,62 @@ class TestRingAxioms:
         a = gaussian_element(rng, 2)
         assert (a ** 3).allclose(a * a * a)
         assert (a ** 0).allclose(a.one_like())
+
+
+class TestBatch:
+    @staticmethod
+    def _stack(elements):
+        return MatrixElement(np.stack([e.data for e in elements]))
+
+    def test_operations_act_per_position(self, rng):
+        a = [random_invertible(rng, 2) for _ in range(4)]
+        b = [random_invertible(rng, 2) for _ in range(4)]
+        c = gaussian_element(rng, 2)
+        batch_a, batch_b = self._stack(a), self._stack(b)
+        checks = (
+            (batch_a * batch_b, [x * y for x, y in zip(a, b)]),
+            (batch_a - batch_b, [x - y for x, y in zip(a, b)]),
+            (batch_a * c, [x * c for x in a]),
+            (c + batch_a, [c + x for x in a]),
+            ((2 - 1j) * batch_a, [(2 - 1j) * x for x in a]),
+            (batch_a.inv(), [x.inv() for x in a]),
+        )
+        for batched, pointwise in checks:
+            assert batched.data.shape == (4, 2, 2)
+            for k, expected in enumerate(pointwise):
+                assert np.array_equal(batched.data[k], expected.data)
+        assert batch_a.point_norms().tolist() == [x.norm() for x in a]
+
+    def test_scalars_are_central_per_position(self):
+        zs = [1.0, 2.5, -3.0]
+        batch = MatrixElement.scalars(zs, 2)
+        for k, z in enumerate(zs):
+            expected = z * MatrixElement.eye(2)
+            assert np.array_equal(batch.data[k], expected.data)
+
+    def test_refusal_lists_every_failing_position(self):
+        data = np.stack([np.eye(2)] * 5).astype(complex)
+        data[1] = 0.0
+        data[3] = np.diag([1.0, 1e-14])
+        with pytest.raises(NearSingularError) as err:
+            MatrixElement(data).inv()
+        assert err.value.indices == (1, 3)
+        assert err.value.condition == float("inf")
+        assert err.value.relabel("here").indices == (1, 3)
+
+    def test_non_finite_position_is_refused(self):
+        data = np.stack([np.eye(2)] * 3).astype(complex)
+        data[2, 0, 1] = np.nan
+        with pytest.raises(NearSingularError) as err:
+            MatrixElement(data).inv()
+        assert err.value.indices == (2,)
+
+    def test_unbatched_refusal_has_no_indices(self):
+        with pytest.raises(NearSingularError) as err:
+            MatrixElement.zeros(2).inv()
+        assert err.value.indices is None
+
+    def test_singular_extremes_of_worst_position(self):
+        data = np.stack([np.diag([1.0, 0.5]), np.diag([2.0, 1e-3]),
+                         np.eye(2)])
+        assert MatrixElement(data).singular_extremes() == (1e-3, 2.0)
