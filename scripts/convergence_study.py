@@ -6,9 +6,11 @@ integrators should show ~16x (4th order), the second-difference residual
 of the exact rational solution ~4x (2nd order).
 """
 
-from ncpain import (GridFunction, MatrixElement, SymState, integrate_linear,
-                    integrate_symmetric, normalize_first_integral,
-                    pii_residual_grid)
+from ncpain.ring import MatrixElement
+from ncpain.grid import GridFunction
+from ncpain.laxpair import (SymState, integrate_symmetric,
+                            normalize_first_integral, pii_residual_grid)
+from ncpain.dressing import integrate_linear
 
 ONE = MatrixElement.eye(1)
 

@@ -1,46 +1,8 @@
 """Noncommutative Painleve II toolkit: rings, quasideterminants, Lax pairs,
-Darboux dressing, and the experiment CLI."""
+Darboux dressing, and the experiment CLI.
+
+Import each name from the submodule that defines it, e.g.
+``from ncpain.ring import MatrixElement``.
+"""
 
 __version__ = "0.1.0"
-
-from .ring import (COND_FLOOR, DimensionMismatchError, MatrixElement,
-                   NearSingularError, RingElement, anticommutator,
-                   commutator, random_invertible, random_matrix)
-from .moyal import (DegreeOverflowError, MoyalPolynomial, star_commutator,
-                    star_product)
-from .quasidet import (BlockMatrix, all_quasideterminants, block_inverse,
-                       commutative_limit_residual, determinant_ratio,
-                       quasideterminant, quasideterminant_oracle)
-from .grid import GridFunction
-from .laxpair import (FlowResult, PiiState, SymState, build_A, build_B,
-                      build_L, build_P, first_integral, integrate_symmetric,
-                      lax_residual_symmetric, normalize_first_integral,
-                      pii_from_zero_curvature, pii_residual_exact,
-                      pii_residual_grid, reduction_check, symmetric_rhs,
-                      zero_curvature_residual)
-from .dressing import (DressingChain, SpectralPoint, darboux_once,
-                       dt_eigenfunctions, integrate_linear, iterated_darboux,
-                       masked_iterated, masked_n_fold, n_fold_darboux,
-                       quasidet_eigenfunctions, theta_factor)
-
-__all__ = [
-    "__version__",
-    "COND_FLOOR", "DimensionMismatchError", "MatrixElement",
-    "NearSingularError", "RingElement", "anticommutator", "commutator",
-    "random_invertible", "random_matrix",
-    "DegreeOverflowError", "MoyalPolynomial", "star_commutator",
-    "star_product",
-    "BlockMatrix", "all_quasideterminants", "block_inverse",
-    "commutative_limit_residual", "determinant_ratio", "quasideterminant",
-    "quasideterminant_oracle",
-    "GridFunction",
-    "FlowResult", "PiiState", "SymState", "build_A", "build_B", "build_L",
-    "build_P", "first_integral", "integrate_symmetric",
-    "lax_residual_symmetric", "normalize_first_integral",
-    "pii_from_zero_curvature", "pii_residual_exact", "pii_residual_grid",
-    "reduction_check", "symmetric_rhs", "zero_curvature_residual",
-    "DressingChain", "SpectralPoint", "darboux_once", "dt_eigenfunctions",
-    "integrate_linear", "iterated_darboux", "masked_iterated",
-    "masked_n_fold", "n_fold_darboux", "quasidet_eigenfunctions",
-    "theta_factor",
-]

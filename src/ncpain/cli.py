@@ -1,11 +1,15 @@
 """Command-line front end for the verification experiments.
 
-Subcommands: ``quasidet``, ``zc``, ``dress``, ``symmetric``.  Exit codes:
-0 success, 1 usage error, 2 numerical failure (near-singular data),
-3 truncated flow.  Reports are deterministic for fixed parameters and
-seed apart from the duration field; NCPAIN_THREADS caps the worker pool of
-``zc``'s lambda sweep.  A reader closing stdout early changes neither the
-exit code nor the report.
+Subcommands: ``quasidet``, ``zc``, ``dress``, ``symmetric``.  Each is run
+by a ``run_*(args)`` function that prints its summary and returns
+``(parameters, results, conventions, exit_code)``; ``main`` times it and
+writes ``<subcommand>_report.json`` to ``--out``.  The parser checks the
+arguments; input the library rejects raises ``ValueError``.  Exit codes:
+0 success, 1 usage error (bad arguments or input), 2 numerical failure
+(near-singular data), 3 truncated flow.  Reports are deterministic for
+fixed parameters and seed apart from the duration field; NCPAIN_THREADS
+caps the worker pool of ``zc``'s lambda sweep.  A reader closing stdout
+early changes neither the exit code nor the report.
 """
 
 from __future__ import annotations
@@ -38,13 +42,22 @@ EXIT_NUMERICAL = 2
 EXIT_TRUNCATED = 3
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Bad command-line input.  ``main`` reports it, like every ValueError
+    the library raises on input it rejects, with exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def positive_int(text: str) -> int:
+    """argparse type for sizes and counts."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def max_workers() -> int:
@@ -138,39 +151,29 @@ def _matrix_value(el: MatrixElement):
 
 # -- quasidet ---------------------------------------------------------------
 
-def cmd_quasidet(args) -> int:
-    t_start = time.perf_counter()
-    sources = [s for s in ("inline", "file", "identity", "random")
-               if getattr(args, s) is not None]
-    if len(sources) != 1:
-        raise UsageError("choose exactly one of --inline/--file/"
-                         "--identity/--random")
+def run_quasidet(args):
     if args.inline is not None:
         matrix = _matrix_from_json(args.inline)
         source = {"kind": "inline", "text": args.inline}
     elif args.file is not None:
-        with open(args.file, encoding="utf-8") as fh:
-            matrix = _matrix_from_json(fh.read())
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --file: {exc}")
+        matrix = _matrix_from_json(text)
         source = {"kind": "file", "path": args.file}
     elif args.identity is not None:
-        if args.identity < 1:
-            raise UsageError("--identity needs n >= 1")
-        eye = MatrixElement.scalar(1.0)
-        zero = MatrixElement.scalar(0.0)
-        matrix = BlockMatrix([[eye if i == j else zero
+        matrix = BlockMatrix([[MatrixElement.scalar(float(i == j))
                                for j in range(args.identity)]
                               for i in range(args.identity)])
         source = {"kind": "identity", "n": args.identity}
     else:
         n, d = args.random
-        if n < 1 or d < 1:
-            raise UsageError("--random needs n >= 1 and d >= 1")
         rng = np.random.default_rng(args.seed)
         matrix = BlockMatrix([[random_invertible(rng, d)
                                for _ in range(n)] for _ in range(n)])
         source = {"kind": "random", "n": n, "d": d, "seed": args.seed}
-    if not matrix.is_square:
-        raise UsageError("quasideterminants need a square matrix")
     i, j = args.pos
     if not (1 <= i <= matrix.n and 1 <= j <= matrix.n):
         raise UsageError(f"position ({i},{j}) outside {matrix.n}x{matrix.n}")
@@ -183,19 +186,14 @@ def cmd_quasidet(args) -> int:
     _print(f"oracle value:            {_matrix_value(oracle)}")
     _print(f"discrepancy:             {rel:.6e}")
 
-    report = ExperimentReport(
-        experiment="quasidet",
-        parameters={"source": source, "pos": [i, j], "seed": args.seed},
-        results={
-            "value": _matrix_value(value),
-            "oracle": _matrix_value(oracle),
-            "discrepancy_abs": diff,
-            "discrepancy_rel": rel,
-        },
-        duration_s=time.perf_counter() - t_start,
-    )
-    report.write(args.out, "quasidet_report.json")
-    return EXIT_OK
+    parameters = {"source": source, "pos": [i, j], "seed": args.seed}
+    results = {
+        "value": _matrix_value(value),
+        "oracle": _matrix_value(oracle),
+        "discrepancy_abs": diff,
+        "discrepancy_rel": rel,
+    }
+    return parameters, results, {}, EXIT_OK
 
 
 # -- zc ----------------------------------------------------------------------
@@ -214,23 +212,14 @@ def _zc_case_stats(state: PiiState) -> dict:
         "e12_identity": one_minus.norm() / scale,
         "e21_identity": one_plus.norm() / scale,
         "full": res.norm() / scale,
-        "pii_norm": pii.norm(),
     }
 
 
-def cmd_zero_curvature(args) -> int:
-    t_start = time.perf_counter()
+def run_zero_curvature(args):
     lambdas = parse_complex_list(args.lam)
     if not lambdas:
         raise UsageError("--lambda needs at least one value")
-    if any(lam == 0 for lam in lambdas):
-        raise UsageError("lambda = 0 is not allowed")
-    if args.seed_kind in ("random", "random-placeholders"):
-        kind = "random"
-    elif args.seed_kind == "rational":
-        kind = "rational"
-    else:
-        raise UsageError(f"unknown seed kind {args.seed_kind!r}")
+    kind = "rational" if args.seed_kind == "rational" else "random"
 
     cases = []
     if kind == "rational":
@@ -253,13 +242,9 @@ def cmd_zero_curvature(args) -> int:
             cases.append((v, v_z, v_zz, z, c_val))
 
     def sweep(lam):
-        worst = {"e11": 0.0, "e22": 0.0, "e12_identity": 0.0,
-                 "e21_identity": 0.0, "full": 0.0}
-        for v, v_z, v_zz, z, c_val in cases:
-            stats = _zc_case_stats(PiiState(v, v_z, v_zz, z, lam, c_val))
-            for key in worst:
-                worst[key] = max(worst[key], stats[key])
-        return worst
+        stats = [_zc_case_stats(PiiState(v, v_z, v_zz, z, lam, c_val))
+                 for v, v_z, v_zz, z, c_val in cases]
+        return {key: max(s[key] for s in stats) for key in stats[0]}
 
     per_lambda = _pool_map(sweep, lambdas)
     overall = {key: max(p[key] for p in per_lambda)
@@ -271,23 +256,18 @@ def cmd_zero_curvature(args) -> int:
     _print(f"overall max entry(1,2) identity residual: "
            f"{overall['e12_identity']:.3e}")
 
-    report = ExperimentReport(
-        experiment="zero_curvature",
-        parameters={
-            "seed_kind": kind, "d": args.d,
-            "lambdas": lambdas, "C": args.C,
-            "rational_sign": args.rational_sign,
-            "trials": args.trials, "seed": args.seed,
-        },
-        results={
-            "per_lambda": [{"lambda": lam, **stats}
-                           for lam, stats in zip(lambdas, per_lambda)],
-            "overall": overall,
-        },
-        duration_s=time.perf_counter() - t_start,
-    )
-    report.write(args.out, "zc_report.json")
-    return EXIT_OK
+    parameters = {
+        "seed_kind": kind, "d": args.d,
+        "lambdas": lambdas, "C": args.C,
+        "rational_sign": args.rational_sign,
+        "trials": args.trials, "seed": args.seed,
+    }
+    results = {
+        "per_lambda": [{"lambda": lam, **stats}
+                       for lam, stats in zip(lambdas, per_lambda)],
+        "overall": overall,
+    }
+    return parameters, results, {}, EXIT_OK
 
 
 # -- dress --------------------------------------------------------------------
@@ -298,10 +278,8 @@ def _seed_evaluator(kind: str, d: int):
         return lambda z: (1.0 / z) * eye
     if kind == "rational-neg":
         return lambda z: (-1.0 / z) * eye
-    if kind == "zero":
-        zero = MatrixElement.zeros(d)
-        return lambda z: zero
-    raise UsageError(f"unknown seed kind {kind!r}")
+    zero = MatrixElement.zeros(d)
+    return lambda z: zero
 
 
 def _residual_stats(grid: GridFunction, mask: np.ndarray, c_val: complex
@@ -316,25 +294,16 @@ def _residual_stats(grid: GridFunction, mask: np.ndarray, c_val: complex
     }
 
 
-def cmd_dressing(args) -> int:
-    t_start = time.perf_counter()
-    if not (0 <= args.N <= 4):
-        raise UsageError("--N must be between 0 and 4")
-    gammas = parse_complex_list(args.gamma) if args.gamma else []
-    if len(set(gammas)) != len(gammas):
-        raise UsageError("--gamma values must be pairwise distinct")
-    if len(gammas) < args.N:
-        raise UsageError(f"--N {args.N} needs at least {args.N} gamma values")
+def run_dressing(args):
+    gammas = parse_complex_list(args.gamma)
     z0, h, n = parse_range(args.z)
     c_val = parse_complex(args.C)
     seed_fn = _seed_evaluator(args.seed, args.d)
-    if args.convention not in CONVENTIONS:
-        raise UsageError(f"--dt-convention must be one of {CONVENTIONS}")
 
     seed_grid = GridFunction.sample(seed_fn, z0, h, n)
     one = seed_grid[0].one_like()
     pairs = integrate_linear(seed_fn, gammas, (one, one), z0, h, n,
-                             convention=args.convention) if gammas else []
+                             convention=args.dt_convention) if gammas else []
     points = [SpectralPoint(g, chi, phi)
               for g, (chi, phi) in zip(gammas, pairs)]
     chain = DressingChain(tuple(points), seed_grid, c_val)
@@ -358,37 +327,28 @@ def cmd_dressing(args) -> int:
             diffs = (grids[args.N].batch - direct.batch).point_norms()
             ref = max(grids[args.N].sup_norm(common), 1.0)
             discrepancy = float(diffs[common].max()) / ref
+            _print(f"quasideterminant vs direct discrepancy: "
+                   f"{discrepancy:.3e}")
 
-    if discrepancy is not None:
-        _print(f"quasideterminant vs direct discrepancy: {discrepancy:.3e}")
-
-    report = ExperimentReport(
-        experiment="dressing",
-        parameters={
-            "N": args.N, "gammas": gammas, "seed_kind": args.seed,
-            "C": c_val, "z0": z0, "h": h, "points": n, "d": args.d,
-            "dt_convention": args.convention,
-        },
-        results={
-            "stages": stage_stats,
-            "quasidet_vs_direct": discrepancy,
-        },
-        conventions={"dt_convention": args.convention},
-        duration_s=time.perf_counter() - t_start,
-    )
-    report.write(args.out, "dress_report.json")
-    return EXIT_OK
+    parameters = {
+        "N": args.N, "gammas": gammas, "seed_kind": args.seed,
+        "C": c_val, "z0": z0, "h": h, "points": n, "d": args.d,
+        "dt_convention": args.dt_convention,
+    }
+    results = {
+        "stages": stage_stats,
+        "quasidet_vs_direct": discrepancy,
+    }
+    return (parameters, results, {"dt_convention": args.dt_convention},
+            EXIT_OK)
 
 
 # -- symmetric ----------------------------------------------------------------
 
-def cmd_symmetric(args) -> int:
-    t_start = time.perf_counter()
+def run_symmetric(args):
     t0, h, n = parse_range(args.t)
     if args.random_matrix is not None:
         d = args.random_matrix
-        if d < 1:
-            raise UsageError("--random-matrix needs d >= 1")
         rng = np.random.default_rng(args.seed)
         v0, v1, v2 = (random_invertible(rng, d, scale=0.5) for _ in range(3))
         data_desc = {"kind": "random", "d": d, "seed": args.seed}
@@ -443,26 +403,22 @@ def cmd_symmetric(args) -> int:
     if flow.truncated:
         print(f"flow truncated: {flow.reason}", file=sys.stderr)
 
-    report = ExperimentReport(
-        experiment="symmetric",
-        parameters={
-            "data": data_desc, "alpha0": alpha0, "alpha1": alpha1,
-            "t0": t0, "h": h, "steps": n - 1,
-            "normalize": bool(args.normalize), "min_cond": args.min_cond,
-            "seed": args.seed,
-        },
-        results={
-            "truncated": flow.truncated,
-            "truncation_reason": flow.reason,
-            "states_covered": len(states),
-            "lax_samples": lax_samples,
-            "first_integral_drift": drift,
-            "reduction": reduction,
-        },
-        duration_s=time.perf_counter() - t_start,
-    )
-    report.write(args.out, "symmetric_report.json")
-    return EXIT_TRUNCATED if flow.truncated else EXIT_OK
+    parameters = {
+        "data": data_desc, "alpha0": alpha0, "alpha1": alpha1,
+        "t0": t0, "h": h, "steps": n - 1,
+        "normalize": bool(args.normalize), "min_cond": args.min_cond,
+        "seed": args.seed,
+    }
+    results = {
+        "truncated": flow.truncated,
+        "truncation_reason": flow.reason,
+        "states_covered": len(states),
+        "lax_samples": lax_samples,
+        "first_integral_drift": drift,
+        "reduction": reduction,
+    }
+    return (parameters, results, {},
+            EXIT_TRUNCATED if flow.truncated else EXIT_OK)
 
 
 # -- parser -------------------------------------------------------------------
@@ -473,61 +429,61 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_q = sub.add_parser("quasidet", help="quasideterminant vs oracle")
-    p_q.add_argument("--inline", help="matrix as JSON rows")
-    p_q.add_argument("--file", help="path to a JSON matrix")
-    p_q.add_argument("--identity", type=int,
-                     help="n x n scalar identity matrix")
-    p_q.add_argument("--random", type=int, nargs=2, metavar=("N", "D"),
-                     help="random invertible N x N matrix of D x D entries")
+    source = p_q.add_mutually_exclusive_group(required=True)
+    source.add_argument("--inline", help="matrix as JSON rows")
+    source.add_argument("--file", help="path to a JSON matrix")
+    source.add_argument("--identity", type=positive_int,
+                        help="n x n scalar identity matrix")
+    source.add_argument("--random", type=positive_int, nargs=2,
+                        metavar=("N", "D"),
+                        help="random invertible N x N matrix of D x D entries")
     p_q.add_argument("--pos", type=int, nargs=2, required=True,
                      metavar=("I", "J"), help="1-based position")
     p_q.add_argument("--seed", type=int, default=0)
-    p_q.add_argument("--out", default=".")
-    p_q.set_defaults(handler=cmd_quasidet)
+    p_q.set_defaults(run=run_quasidet, experiment="quasidet")
 
     p_z = sub.add_parser("zc", help="zero-curvature residual checks")
-    p_z.add_argument("--seed-kind", dest="seed_kind", default="random",
-                     help="rational or random")
-    p_z.add_argument("--d", type=int, default=2)
+    p_z.add_argument("--seed-kind", default="random",
+                     choices=("rational", "random", "random-placeholders"))
+    p_z.add_argument("--d", type=positive_int, default=2)
     p_z.add_argument("--C", default=None)
     p_z.add_argument("--lambda", dest="lam", default="1,i,2-3i")
-    p_z.add_argument("--rational-sign", dest="rational_sign", type=int,
-                     choices=(1, -1), default=1)
-    p_z.add_argument("--trials", type=int, default=25)
+    p_z.add_argument("--rational-sign", type=int, choices=(1, -1), default=1)
+    p_z.add_argument("--trials", type=positive_int, default=25)
     p_z.add_argument("--seed", type=int, default=0)
-    p_z.add_argument("--out", default=".")
-    p_z.set_defaults(handler=cmd_zero_curvature)
+    p_z.set_defaults(run=run_zero_curvature, experiment="zero_curvature")
 
     p_d = sub.add_parser("dress", help="Darboux dressing pipeline")
-    p_d.add_argument("--N", type=int, required=True)
+    p_d.add_argument("--N", type=int, required=True, choices=range(5))
     p_d.add_argument("--gamma", default="",
                      help="comma-separated dressing parameters")
     p_d.add_argument("--seed", default="rational",
-                     help="seed solution: rational, rational-neg or zero")
+                     choices=("rational", "rational-neg", "zero"),
+                     help="seed solution")
     p_d.add_argument("--C", default="4")
     p_d.add_argument("--z", default="1:2:0.001", help="grid start:stop:step")
-    p_d.add_argument("--d", type=int, default=1)
-    p_d.add_argument("--dt-convention", dest="convention",
-                     default="b-matrix", help="b-matrix or d7")
-    p_d.add_argument("--out", default=".")
-    p_d.set_defaults(handler=cmd_dressing)
+    p_d.add_argument("--d", type=positive_int, default=1)
+    p_d.add_argument("--dt-convention", default="b-matrix",
+                     choices=CONVENTIONS)
+    p_d.set_defaults(run=run_dressing, experiment="dressing")
 
     p_s = sub.add_parser("symmetric", help="symmetric three-field flow")
     p_s.add_argument("--v0", default="0.1")
     p_s.add_argument("--v1", default="1")
     p_s.add_argument("--v2", default="0.3")
-    p_s.add_argument("--random-matrix", dest="random_matrix", type=int,
-                     default=None, help="use random d x d matrix data")
+    p_s.add_argument("--random-matrix", type=positive_int,
+                     help="use random d x d matrix data")
     p_s.add_argument("--alpha0", default="0.5")
     p_s.add_argument("--alpha1", default="1.5")
     p_s.add_argument("--t", default="0:1:0.001", help="flow start:stop:step")
     p_s.add_argument("--normalize", action="store_true",
                      help="zero the first integral (needs alpha sum 2)")
-    p_s.add_argument("--min-cond", dest="min_cond", type=float, default=1e-12)
+    p_s.add_argument("--min-cond", type=float, default=1e-12)
     p_s.add_argument("--seed", type=int, default=0)
-    p_s.add_argument("--out", default=".")
-    p_s.set_defaults(handler=cmd_symmetric)
+    p_s.set_defaults(run=run_symmetric, experiment="symmetric")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=".")
     return parser
 
 
@@ -535,8 +491,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.handler(args)
-    except UsageError as exc:
+        t_start = time.perf_counter()
+        parameters, results, conventions, code = args.run(args)
+        ExperimentReport(args.experiment, parameters, results,
+                         time.perf_counter() - t_start, conventions
+                         ).write(args.out, f"{args.command}_report.json")
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     except NearSingularError as exc:

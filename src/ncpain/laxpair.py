@@ -237,13 +237,6 @@ def normalize_first_integral(s: SymState) -> SymState:
     return SymState(s.v0, v1, s.v2, s.alpha0, s.alpha1, s.t)
 
 
-def _flow_margin(el: RingElement) -> float:
-    # Invertibility margin for trajectory monitoring: the smallest singular
-    # value, saturated so tiny well-conditioned scalars are still flagged.
-    smin, smax = el.singular_extremes()
-    return smin / max(smax, 1.0)
-
-
 def integrate_symmetric(s0: SymState, t_end: float, h: float,
                         min_condition: float = 1e-12) -> FlowResult:
     """Fixed-step RK4 flow of the symmetric system from s0.t to t_end.
@@ -264,14 +257,17 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
                                       s0.alpha0, s0.alpha1, t))
 
     def monitor(t, y):
-        for name, el in (("v0", y[0]), ("v1", y[1]), ("v2", y[2])):
-            smin, smax = el.singular_extremes()
+        extremes = [el.singular_extremes() for el in y]
+        for name, (smin, smax) in zip(("v0", "v1", "v2"), extremes):
             if not (smax < 1e100):
                 return f"{name} is no longer finite at t = {t:.6g}"
-        for name, el in (("v0", y[0]), ("v1", y[1])):
-            if _flow_margin(el) < min_condition:
+        for name, (smin, smax) in zip(("v0", "v1"), extremes):
+            # Invertibility margin: the smallest singular value, saturated
+            # so tiny well-conditioned scalars are still flagged.
+            margin = smin / max(smax, 1.0)
+            if margin < min_condition:
                 return (f"{name} is near-singular at t = {t:.6g} "
-                        f"(margin {_flow_margin(el):.3e})")
+                        f"(margin {margin:.3e})")
         return None
 
     y0 = (s0.v0, s0.v1, s0.v2)

@@ -41,14 +41,13 @@ class ExperimentReport:
     results: dict
     duration_s: float
     conventions: dict = field(default_factory=dict)
-    version: str = __version__
 
     def as_dict(self) -> dict:
         conventions = dict(BASE_CONVENTIONS)
         conventions.update(self.conventions)
         return {
             "experiment": self.experiment,
-            "version": self.version,
+            "version": __version__,
             "parameters": jsonify(self.parameters),
             "conventions": jsonify(conventions),
             "results": jsonify(self.results),

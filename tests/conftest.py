@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncpain import MatrixElement
+from ncpain.ring import MatrixElement
 
 
 @pytest.fixture

@@ -9,20 +9,21 @@ import time
 
 import numpy as np
 
-from ncpain import (BlockMatrix, DressingChain, GridFunction, MatrixElement,
-                    MoyalPolynomial, PiiState, SpectralPoint, SymState,
-                    all_quasideterminants, build_A, build_B, build_L, build_P,
-                    lax_residual_symmetric,
-                    commutative_limit_residual, darboux_once,
-                    determinant_ratio,
-                    dt_eigenfunctions, first_integral, integrate_linear,
-                    integrate_symmetric, iterated_darboux, masked_n_fold,
-                    n_fold_darboux, normalize_first_integral,
-                    pii_residual_exact, pii_residual_grid,
-                    quasidet_eigenfunctions, quasideterminant,
-                    quasideterminant_oracle, random_invertible,
-                    reduction_check, star_commutator, star_product,
-                    zero_curvature_residual)
+from ncpain.ring import MatrixElement, random_invertible
+from ncpain.moyal import MoyalPolynomial, star_commutator, star_product
+from ncpain.quasidet import (BlockMatrix, all_quasideterminants,
+                             commutative_limit_residual, determinant_ratio,
+                             quasideterminant, quasideterminant_oracle)
+from ncpain.grid import GridFunction
+from ncpain.laxpair import (PiiState, SymState, build_A, build_B, build_L,
+                            build_P, first_integral, integrate_symmetric,
+                            lax_residual_symmetric, normalize_first_integral,
+                            pii_residual_exact, pii_residual_grid,
+                            reduction_check, zero_curvature_residual)
+from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
+                             dt_eigenfunctions, integrate_linear,
+                             iterated_darboux, masked_n_fold, n_fold_darboux,
+                             quasidet_eigenfunctions)
 from ncpain.cli import main
 
 LAMBDAS = (1.0 + 0j, 1j, 2 - 3j)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from ncpain.cli import main, parse_complex, parse_range
 
 
@@ -30,6 +32,25 @@ class TestParsing:
     def test_bad_range_is_usage_error(self, tmp_path):
         code = run(["dress", "--N", "0", "--z", "2:1:0.1"], tmp_path)
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["quasidet", "--inline", "[[1,2],[3]]", "--pos", "1", "1"],
+    ["quasidet", "--inline", "[[]]", "--pos", "1", "1"],
+    ["quasidet", "--file", "MISSING", "--pos", "1", "1"],
+    ["zc", "--d", "0"],
+    ["zc", "--trials", "0"],
+    ["dress", "--N", "1", "--gamma", "i", "--d", "0", "--z", "1:1.2:0.002"],
+    ["dress", "--N", "1", "--gamma", "i", "--z", "1:2:0.05"],
+    ["dress", "--N", "0", "--z", "1:1.003:0.001"],
+], ids=["ragged", "empty", "missing-file", "zc-d0", "zc-trials0",
+        "dress-d0", "coarse-grid", "short-grid"])
+def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a
+            for a in argv]
+    assert run(argv, tmp_path) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))
 
 
 class TestQuasidetCommand:

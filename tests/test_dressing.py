@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from ncpain import (BlockMatrix, DressingChain, GridFunction, MatrixElement,
-                    NearSingularError, SpectralPoint, darboux_once,
-                    determinant_ratio, dt_eigenfunctions, integrate_linear,
-                    iterated_darboux, masked_iterated, masked_n_fold,
-                    n_fold_darboux, quasidet_eigenfunctions,
-                    quasideterminant, theta_factor)
+from ncpain.ring import MatrixElement, NearSingularError
+from ncpain.quasidet import BlockMatrix, determinant_ratio, quasideterminant
+from ncpain.grid import GridFunction
+from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
+                             dt_eigenfunctions, integrate_linear,
+                             iterated_darboux, masked_iterated, masked_n_fold,
+                             n_fold_darboux, quasidet_eigenfunctions,
+                             theta_factor)
 
 from conftest import gaussian_element
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ncpain import GridFunction, MatrixElement
+from ncpain.ring import MatrixElement
+from ncpain.grid import GridFunction
 from ncpain.reports import write_grid_csv
 
 

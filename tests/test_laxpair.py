@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from ncpain import (GridFunction, MatrixElement, PiiState, SymState,
-                    anticommutator, build_A, build_B, build_L, build_P,
-                    first_integral, integrate_symmetric,
-                    lax_residual_symmetric, normalize_first_integral,
-                    pii_from_zero_curvature, pii_residual_exact,
-                    pii_residual_grid, reduction_check, symmetric_rhs,
-                    zero_curvature_residual)
-
-from ncpain.laxpair import STENCIL_BLOCK
+from ncpain.ring import MatrixElement, anticommutator
+from ncpain.grid import GridFunction
+from ncpain.laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A,
+                            build_B, build_L, build_P, first_integral,
+                            integrate_symmetric, lax_residual_symmetric,
+                            normalize_first_integral, pii_from_zero_curvature,
+                            pii_residual_exact, pii_residual_grid,
+                            reduction_check, symmetric_rhs,
+                            zero_curvature_residual)
 
 from conftest import gaussian_element
 
@@ -215,7 +215,7 @@ class TestSymmetricSystem:
         assert sq.allclose(ell.identity_like())
 
     def test_lax_residual_vanishes_random(self, rng):
-        from ncpain import random_invertible
+        from ncpain.ring import random_invertible
         for d in (1, 2, 3):
             s = SymState(random_invertible(rng, d), random_invertible(rng, d),
                          gaussian_element(rng, d),

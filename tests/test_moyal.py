@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as hst
 
-from ncpain import (DegreeOverflowError, DimensionMismatchError,
-                    MoyalPolynomial, NearSingularError, star_commutator,
-                    star_product)
+from ncpain.ring import DimensionMismatchError, NearSingularError
+from ncpain.moyal import (DegreeOverflowError, MoyalPolynomial,
+                          star_commutator, star_product)
 
 THETA = 0.3
 
@@ -255,7 +255,7 @@ class TestErrors:
                          poly({(0, 1): 1.0}, cap=16))
 
     def test_mixed_backend(self, rng):
-        from ncpain import MatrixElement
+        from ncpain.ring import MatrixElement
         with pytest.raises(DimensionMismatchError):
             poly({(1, 0): 1.0}) * MatrixElement.eye(2)
 

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as hst
 
-from ncpain import (BlockMatrix, MatrixElement, MoyalPolynomial,
-                    NearSingularError, all_quasideterminants, block_inverse,
-                    commutative_limit_residual, determinant_ratio,
-                    quasideterminant, quasideterminant_oracle,
-                    random_invertible)
+from ncpain.ring import MatrixElement, NearSingularError, random_invertible
+from ncpain.moyal import MoyalPolynomial
+from ncpain.quasidet import (BlockMatrix, all_quasideterminants, block_inverse,
+                             commutative_limit_residual, determinant_ratio,
+                             quasideterminant, quasideterminant_oracle)
 
 
 def scalar_block(rows):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as hst
 
-from ncpain import (DimensionMismatchError, MatrixElement, NearSingularError,
-                    anticommutator, commutator, random_invertible)
+from ncpain.ring import (DimensionMismatchError, MatrixElement,
+                         NearSingularError, anticommutator, commutator,
+                         random_invertible)
 
 from conftest import gaussian_element
 
