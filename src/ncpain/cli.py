@@ -5,11 +5,12 @@ by a ``run_*(args)`` function that prints its summary and returns
 ``(parameters, results, conventions, exit_code)``; ``main`` times it and
 writes ``<subcommand>_report.json`` to ``--out``.  The parser checks the
 arguments; input the library rejects raises ``ValueError``.  Exit codes:
-0 success, 1 usage error (bad arguments or input), 2 numerical failure
-(near-singular data), 3 truncated flow.  Reports are deterministic for
-fixed parameters and seed apart from the duration field; NCPAIN_THREADS
-caps the worker pool of ``zc``'s lambda sweep.  A reader closing stdout
-early changes neither the exit code nor the report.
+0 success, 1 usage error (bad arguments or input, an unreadable ``--file``
+or an unwritable ``--out``), 2 numerical failure (near-singular data),
+3 truncated flow.  Reports are deterministic for fixed parameters and
+seed apart from the duration field; NCPAIN_THREADS caps the worker pool
+of ``zc``'s lambda sweep.  A reader closing stdout early changes neither
+the exit code nor the report.
 """
 
 from __future__ import annotations
@@ -117,20 +118,21 @@ def parse_range(text: str) -> tuple[float, float, int]:
     return z0, h, n
 
 
-def _entry_from_json(node) -> MatrixElement:
+def _number_from_json(node) -> complex:
     if isinstance(node, (int, float)):
-        return MatrixElement.scalar(complex(node))
+        return complex(node)
     if isinstance(node, str):
-        return MatrixElement.scalar(parse_complex(node))
-    if isinstance(node, list):
-        rows = []
-        for row in node:
-            if not isinstance(row, list):
-                raise UsageError("matrix entry rows must be lists")
-            rows.append([parse_complex(x) if isinstance(x, str)
-                         else complex(x) for x in row])
-        return MatrixElement(np.array(rows, dtype=complex))
+        return parse_complex(node)
     raise UsageError(f"cannot read matrix entry {node!r}")
+
+
+def _entry_from_json(node) -> MatrixElement:
+    if not isinstance(node, list):
+        return MatrixElement.scalar(_number_from_json(node))
+    if not all(isinstance(row, list) for row in node):
+        raise UsageError("matrix entry rows must be lists")
+    return MatrixElement(np.array([[_number_from_json(x) for x in row]
+                                   for row in node], dtype=complex))
 
 
 def _matrix_from_json(text: str) -> BlockMatrix:
@@ -156,11 +158,8 @@ def run_quasidet(args):
         matrix = _matrix_from_json(args.inline)
         source = {"kind": "inline", "text": args.inline}
     elif args.file is not None:
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read --file: {exc}")
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
         matrix = _matrix_from_json(text)
         source = {"kind": "file", "path": args.file}
     elif args.identity is not None:
@@ -496,7 +495,8 @@ def main(argv=None) -> int:
         ExperimentReport(args.experiment, parameters, results,
                          time.perf_counter() - t_start, conventions
                          ).write(args.out, f"{args.command}_report.json")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an unreadable --file or an unwritable --out
         print(f"usage error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     except NearSingularError as exc:

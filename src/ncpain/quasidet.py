@@ -143,14 +143,16 @@ def _inverse_labeled(block: BlockMatrix, label: str) -> BlockMatrix:
 def block_inverse(a: BlockMatrix) -> BlockMatrix:
     """Inverse by recursive 2x2 block decomposition, split at ceil(n/2).
 
-    Uses the noncommutative Schur-complement formula
+    With T = S - R P^-1 Q, the Schur complement of the leading block P,
 
         [[P, Q], [R, S]]^-1 =
-        [[ (P - Q S^-1 R)^-1,  -P^-1 Q (S - R P^-1 Q)^-1 ],
-         [ -(S - R P^-1 Q)^-1 R P^-1,  (S - R P^-1 Q)^-1 ]]
+        [[ P^-1 + P^-1 Q T^-1 R P^-1,  -P^-1 Q T^-1 ],
+         [ -T^-1 R P^-1,                T^-1        ]]
 
-    which is exact over any associative ring.  A NearSingularError from any
-    pivot block is re-raised naming the block that failed.
+    which is exact over any associative ring.  Each split inverts only P
+    and T, so an n x n matrix costs exactly n entry inverses.  The matrix
+    is refused when P or T is near-singular (at any level of the
+    recursion); the NearSingularError is re-raised naming that block.
     """
     if not a.is_square:
         raise ValueError("block_inverse needs a square BlockMatrix")
@@ -163,16 +165,14 @@ def block_inverse(a: BlockMatrix) -> BlockMatrix:
     r = a._block(k, n, 0, k)
     s = a._block(k, n, k, n)
     p_inv = _inverse_labeled(p, "leading diagonal block")
-    s_inv = _inverse_labeled(s, "trailing diagonal block")
-    # Each Schur complement is freed as soon as it is inverted.
-    lead_inv = _inverse_labeled(p - q @ (s_inv @ r),
-                                "Schur complement of leading block")
-    trail_inv = _inverse_labeled(s - r @ (p_inv @ q),
-                                 "Schur complement of trailing block")
-    return _stack(lead_inv,
-                  -(p_inv @ q @ trail_inv),
-                  -(trail_inv @ r @ p_inv),
-                  trail_inv)
+    p_inv_q = p_inv @ q
+    t_inv = _inverse_labeled(s - r @ p_inv_q,
+                             "Schur complement of leading block")
+    lower_left = -(t_inv @ (r @ p_inv))
+    return _stack(p_inv - p_inv_q @ lower_left,
+                  -(p_inv_q @ t_inv),
+                  lower_left,
+                  t_inv)
 
 
 def quasideterminant(a: BlockMatrix, i: int, j: int) -> RingElement:
@@ -191,15 +191,9 @@ def quasideterminant(a: BlockMatrix, i: int, j: int) -> RingElement:
         return a.entry(0, 0)
     sub_inv = _inverse_labeled(a.submatrix(i, j),
                                f"submatrix for position ({i},{j})")
-    row = [a.entry(i, q) for q in range(n) if q != j]
-    col = [a.entry(p, j) for p in range(n) if p != i]
-    acc = a.entry(i, j)
-    for pi in range(n - 1):
-        weighted = row[0] * sub_inv.entry(0, pi)
-        for qi in range(1, n - 1):
-            weighted = weighted + row[qi] * sub_inv.entry(qi, pi)
-        acc = acc - weighted * col[pi]
-    return acc
+    row = BlockMatrix([[a.entry(i, q) for q in range(n) if q != j]])
+    col = BlockMatrix([[a.entry(p, j)] for p in range(n) if p != i])
+    return a.entry(i, j) - (row @ sub_inv @ col).entry(0, 0)
 
 
 def quasideterminant_oracle(a: BlockMatrix, i: int, j: int) -> RingElement:

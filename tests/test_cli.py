@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from ncpain.cli import main, parse_complex, parse_range
+from ncpain.quasidet import BlockMatrix, determinant_ratio
+from ncpain.ring import MatrixElement
 
 
 def run(args, tmp_path):
@@ -38,19 +40,33 @@ class TestParsing:
     ["quasidet", "--inline", "[[1,2],[3]]", "--pos", "1", "1"],
     ["quasidet", "--inline", "[[]]", "--pos", "1", "1"],
     ["quasidet", "--file", "MISSING", "--pos", "1", "1"],
+    ["quasidet", "--inline", "[[[[1, null]]]]", "--pos", "1", "1"],
     ["zc", "--d", "0"],
     ["zc", "--trials", "0"],
     ["dress", "--N", "1", "--gamma", "i", "--d", "0", "--z", "1:1.2:0.002"],
     ["dress", "--N", "1", "--gamma", "i", "--z", "1:2:0.05"],
     ["dress", "--N", "0", "--z", "1:1.003:0.001"],
-], ids=["ragged", "empty", "missing-file", "zc-d0", "zc-trials0",
-        "dress-d0", "coarse-grid", "short-grid"])
+], ids=["ragged", "empty", "missing-file", "null-cell", "zc-d0",
+        "zc-trials0", "dress-d0", "coarse-grid", "short-grid"])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a
             for a in argv]
     assert run(argv, tmp_path) == 1
     assert "usage error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["quasidet", "--identity", "2", "--pos", "1", "1"],
+    ["dress", "--N", "1", "--gamma", "i", "--z", "1:1.2:0.002"],
+], ids=["quasidet", "dress"])
+def test_out_naming_a_file_is_usage_error(argv, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(argv + ["--out", str(taken)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["taken"]
 
 
 class TestQuasidetCommand:
@@ -62,6 +78,21 @@ class TestQuasidetCommand:
         assert "-0.5" in out
         report = load_report(tmp_path, "quasidet_report.json")
         assert report["results"]["value"] == [-0.5, 0.0]
+        assert report["results"]["discrepancy_rel"] <= 1e-12
+
+    def test_zero_trailing_entry_of_submatrix(self, tmp_path):
+        # A^11 = [[1,1],[1,0]] is invertible; its trailing entry is 0
+        rows = [[1, 2, 0], [3, 1, 1], [1, 1, 0]]
+        code = run(["quasidet", "--inline", json.dumps(rows),
+                    "--pos", "1", "1"], tmp_path)
+        assert code == 0
+        report = load_report(tmp_path, "quasidet_report.json")
+        matrix = BlockMatrix([[MatrixElement.scalar(x) for x in row]
+                              for row in rows])
+        expected = determinant_ratio(matrix, 0, 0)
+        assert expected == pytest.approx(-1.0)
+        assert complex(*report["results"]["value"]) \
+            == pytest.approx(expected, abs=1e-12)
         assert report["results"]["discrepancy_rel"] <= 1e-12
 
     def test_identity(self, tmp_path):

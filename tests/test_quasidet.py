@@ -37,11 +37,22 @@ class TestBlockInverse:
         m = scalar_block([[1, 2], [3, 4]])
         expected = scalar_block([[-2, 1], [1.5, -0.5]])
         assert block_inverse(m).allclose(expected)
+        # invertible although the trailing diagonal block is 0
+        m = scalar_block([[1, 1], [1, 0]])
+        expected = scalar_block([[0, 1], [1, -1]])
+        assert block_inverse(m).allclose(expected)
 
-    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (5, 3)])
-    def test_two_sided_over_matrix_ring(self, rng, n, d):
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 3)])
+    def test_two_sided_over_matrix_ring(self, rng, monkeypatch, n, d):
         m = random_block(rng, n, d)
+        inverted = []
+        ring_inv = MatrixElement.inv
+        monkeypatch.setattr(MatrixElement, "inv",
+                            lambda el: inverted.append(el) or ring_inv(el))
         inv = block_inverse(m)
+        monkeypatch.undo()
+        # one leading block and one Schur complement per split
+        assert len(inverted) == n
         eye = m.identity_like()
         assert (m @ inv - eye).norm() <= 1e-9 * max(1.0, m.norm())
         assert (inv @ m - eye).norm() <= 1e-9 * max(1.0, m.norm())
