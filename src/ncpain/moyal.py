@@ -5,15 +5,25 @@ The product is the full bidifferential series
     f * g = sum_k (i*theta/2)^k / k! *
             sum_j (-1)^j C(k,j) (d1^(k-j) d2^j f) (d2^(k-j) d1^j g)
 
-which terminates on polynomials, so multiplication here is exact and the
-basic coordinate relation x1*x2 - x2*x1 = i*theta holds to the last bit.
-Only ``inv`` is approximate: it sums a geometric series truncated at the
-degree cap and is labelled as such in CLI reports.
+which terminates on polynomials, so a product of exact operands is exact:
+it is summed in dict arithmetic and the basic coordinate relation
+x1*x2 - x2*x1 = i*theta holds to the last bit.
+
+``inv`` is approximate: it sums a geometric series truncated at the degree
+cap and is labelled as such in CLI reports.  Products that touch an
+approximate operand, and every term of that series, are truncated at the
+cap and summed as 2-D convolutions of dense coefficient arrays through one
+FFT.  Their rounding is absolute: about eps*|f||g| per coefficient while
+the series terms stay near |f||g| (theta times the degree small), so a
+coefficient that should be zero may read about 1e-17.  Large series terms
+set a larger scale.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
+
+import numpy as np
 
 from .ring import DimensionMismatchError, NearSingularError, RingElement
 
@@ -50,6 +60,52 @@ def _poly_mul(a: dict, b: dict) -> dict:
             key = (m1 + m2, n1 + n2)
             out[key] = out.get(key, 0j) + c1 * c2
     return out
+
+
+def _dense(p: MoyalPolynomial) -> np.ndarray:
+    """Coefficients as a square array a[m, n], sized to the degree."""
+    size = p.degree() + 1
+    a = np.zeros((size, size), dtype=complex)
+    for (m, n), c in p.coeffs.items():
+        a[m, n] = c
+    return a
+
+
+def _falling(size: int, kmax: int) -> np.ndarray:
+    """w[k, p] = p (p-1) ... (p-k+1): the weight that d^k puts on x^p."""
+    p = np.arange(size, dtype=float)
+    w = np.ones((kmax + 1, size))
+    for k in range(1, kmax + 1):
+        w[k] = w[k - 1] * (p - k + 1)
+    return w
+
+
+def _star_dense(f: MoyalPolynomial, g: MoyalPolynomial) -> dict:
+    """Star product of f and g cropped to the cap triangle, through the FFT.
+
+    Term (a, b) of the series is (i*theta/2)^(a+b) (-1)^b / (a! b!) times
+    (d1^a d2^b f)(d2^a d1^b g); each derivative is a shifted slice of the
+    dense array times falling-factorial weights.  The products of their
+    transforms are summed and inverted once.  Transforms of side
+    deg f + deg g + 1 hold the whole linear convolution, so nothing wraps.
+    """
+    F, G = _dense(f), _dense(g)
+    side = len(F) + len(G) - 1
+    shape = (side, side)
+    kmax = 0 if f.theta == 0.0 else min(len(F), len(G)) - 1
+    wf, wg = _falling(len(F), kmax), _falling(len(G), kmax)
+    acc = np.zeros(shape, dtype=complex)
+    for a in range(kmax + 1):
+        for b in range(kmax + 1 - a):
+            weight = (0.5j * f.theta) ** (a + b) * (-1) ** b \
+                / (factorial(a) * factorial(b))
+            df = F[a:, b:] * np.outer(weight * wf[a, a:], wf[b, b:])
+            dg = G[b:, a:] * np.outer(wg[b, b:], wg[a, a:])
+            acc += np.fft.fft2(df, shape) * np.fft.fft2(dg, shape)
+    rows = np.fft.ifft2(acc).tolist()
+    top = min(f.cap, side - 1)
+    return {(m, n): rows[m][n]
+            for m in range(top + 1) for n in range(top + 1 - m)}
 
 
 class MoyalPolynomial(RingElement):
@@ -142,9 +198,7 @@ class MoyalPolynomial(RingElement):
                                or other.approximate)
 
     def _mul(self, other):
-        self._require_same_ring(other)
-        return _star(self, other,
-                     truncate=self.approximate or other.approximate)
+        return star_product(self, other)
 
     def _scale(self, scalar):
         return MoyalPolynomial({k: scalar * c for k, c in self.coeffs.items()},
@@ -174,8 +228,13 @@ class MoyalPolynomial(RingElement):
 
         Approximate: requires a dominant constant term; terms beyond the
         cap are dropped, so ``f * f.inv()`` equals one only up to the
-        series tail.  The result carries ``approximate=True``.
+        series tail.  The result carries ``approximate=True``.  A
+        non-finite coefficient is refused with NearSingularError.
         """
+        if not np.isfinite(list(self.coeffs.values())).all():
+            raise NearSingularError(
+                "non-finite coefficient in the star-inverse input",
+                condition=float("inf"))
         c0 = self.coefficient(0, 0)
         scale = max(self.norm(), 1e-300)
         if abs(c0) <= 1e-12 * scale:
@@ -224,9 +283,18 @@ class MoyalPolynomial(RingElement):
 
 def _star(f: MoyalPolynomial, g: MoyalPolynomial,
           truncate: bool) -> MoyalPolynomial:
+    """Star product; ``truncate`` crops it to the cap instead of raising.
+
+    Exact products keep the dict arithmetic, in which terms that cancel
+    cancel exactly.  Truncated ones go through :func:`_star_dense`; their
+    rounding is absolute, about eps*|f||g| per coefficient for moderate
+    theta, so a coefficient that should be zero may read about 1e-17.
+    """
     f._require_same_ring(g)
-    if f.coeffs and g.coeffs and not truncate \
-            and f.degree() + g.degree() > f.cap:
+    if truncate:
+        return MoyalPolynomial(_star_dense(f, g), f.theta, f.cap,
+                               approximate=True)
+    if f.coeffs and g.coeffs and f.degree() + g.degree() > f.cap:
         raise DegreeOverflowError(
             f"star product of degrees {f.degree()} and {g.degree()} "
             f"exceeds degree cap {f.cap}")
@@ -242,18 +310,20 @@ def _star(f: MoyalPolynomial, g: MoyalPolynomial,
             weight = pref * ((-1) ** j) * comb(k, j)
             for key, c in _poly_mul(df, dg).items():
                 out[key] = out.get(key, 0j) + weight * c
-    if truncate:
-        out = {k: c for k, c in out.items() if k[0] + k[1] <= f.cap}
     return MoyalPolynomial(out, f.theta, f.cap,
-                           approximate=truncate or f.approximate
-                           or g.approximate)
+                           approximate=f.approximate or g.approximate)
 
 
 def star_product(f: MoyalPolynomial, g: MoyalPolynomial) -> MoyalPolynomial:
-    """Exact star product; raises DegreeOverflowError past the cap."""
-    return _star(f, g, truncate=False)
+    """Star product, the ring's ``*``.
+
+    Exact operands give an exact product and raise DegreeOverflowError past
+    the cap; an approximate operand makes the product truncate at the cap.
+    """
+    f._require_same_ring(g)
+    return _star(f, g, truncate=f.approximate or g.approximate)
 
 
 def star_commutator(f: MoyalPolynomial, g: MoyalPolynomial) -> MoyalPolynomial:
     """star_product(f, g) - star_product(g, f)."""
-    return _star(f, g, truncate=False) - _star(g, f, truncate=False)
+    return star_product(f, g) - star_product(g, f)

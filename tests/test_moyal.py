@@ -233,6 +233,83 @@ class TestStarAlgebra:
         assert 0.4 <= e2 / e1 <= 0.6
 
 
+def dense_poly(rng, degree, theta, cap):
+    return MoyalPolynomial(
+        {(m, n): complex(*rng.normal(size=2))
+         for m in range(degree + 1) for n in range(degree + 1 - m)},
+        theta, cap)
+
+
+def as_approximate(p):
+    return MoyalPolynomial(p.coeffs, p.theta, p.cap, approximate=True)
+
+
+def assert_truncated_product(f, g):
+    """f * g with f approximate against the exact product, cropped.
+
+    The exact product is taken in the ring with twice the cap, so it never
+    overflows; cropped to the cap it is what a truncated product means.
+    """
+    wide = [MoyalPolynomial(p.coeffs, p.theta, 2 * p.cap) for p in (f, g)]
+    exact = {key: c for key, c in star_product(*wide).coeffs.items()
+             if key[0] + key[1] <= f.cap}
+    got = as_approximate(f) * g
+    assert got.approximate
+    assert_coeffs_close(got, exact, tol=1e-13 * f.norm() * g.norm())
+    return got
+
+
+class TestTruncatedProduct:
+    """Products with an approximate operand go through the dense FFT path.
+
+    theta = 0.05 keeps the dense products within a few |f||g|; the FFT's
+    rounding is absolute, so a product much larger than |f||g| would set
+    the scale instead.
+    """
+
+    @pytest.mark.parametrize("cap,g_degree", [(16, 16), (24, 12)])
+    def test_dense_operands(self, rng, cap, g_degree):
+        f = dense_poly(rng, cap, 0.05, cap)
+        g = dense_poly(rng, g_degree, 0.05, cap)
+        assert_truncated_product(f, g)
+        assert_truncated_product(g, f)
+
+    def test_theta_zero(self, rng):
+        f = dense_poly(rng, 6, 0.0, 8)
+        g = dense_poly(rng, 5, 0.0, 8)
+        assert_truncated_product(f, g)
+
+    def test_zero_operand(self, rng):
+        f = dense_poly(rng, 8, THETA, 8)
+        zero = MoyalPolynomial.zero(THETA, 8)
+        for got in (as_approximate(f) * zero, as_approximate(zero) * f):
+            assert got.coeffs == {} and got.approximate
+
+    def test_degree_under_cap(self, rng):
+        f = dense_poly(rng, 3, THETA, 16)
+        g = dense_poly(rng, 4, THETA, 16)
+        got = assert_truncated_product(f, g)
+        assert got.degree() <= 7
+
+    @given(small_polys(), small_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exact_series(self, f, g):
+        cap = 4
+        assert_truncated_product(MoyalPolynomial(f.coeffs, THETA, cap),
+                                 MoyalPolynomial(g.coeffs, THETA, cap))
+
+    def test_star_product_truncates_approximate_operand(self):
+        f = MoyalPolynomial({(0, 0): 1, (1, 0): 0.3, (0, 1): 0.2j}, 0.05, 8)
+        finv = f.inv()
+        x1 = MoyalPolynomial.x1(0.05, 8)
+        product = star_product(finv, x1)
+        assert product.approximate
+        assert product.coeffs == (finv * x1).coeffs
+        bracket = star_commutator(finv, x1)
+        assert bracket.approximate
+        assert bracket.coeffs == (finv * x1 - x1 * finv).coeffs
+
+
 class TestErrors:
     def test_degree_overflow_raises(self):
         f = poly({(5, 0): 1.0}, cap=8)
@@ -283,3 +360,13 @@ class TestInverse:
     def test_zero_constant_term_raises(self):
         with pytest.raises(NearSingularError):
             poly({(1, 0): 1.0}).inv()
+
+    @pytest.mark.parametrize("bad", [
+        {(0, 0): 1.0, (1, 0): float("nan")},
+        {(0, 0): complex(0.0, float("nan"))},
+        {(0, 0): float("inf"), (0, 1): 0.1},
+        {(0, 0): 1.0, (2, 1): complex(float("-inf"), 0.0)},
+    ])
+    def test_non_finite_coefficient_raises(self, bad):
+        with pytest.raises(NearSingularError, match="non-finite"):
+            poly(bad).inv()
