@@ -61,6 +61,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_float(text: str) -> float:
+    """argparse type for thresholds: a finite float >= 0."""
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"need a finite value >= 0: {text}")
+    return value
+
+
 def max_workers() -> int:
     env = os.environ.get("NCPAIN_THREADS")
     if env:
@@ -93,9 +101,12 @@ def _print(*args, **kwargs):
 def parse_complex(text: str) -> complex:
     cleaned = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise UsageError(f"cannot parse complex number {text!r}")
+    if not np.isfinite(value):
+        raise UsageError(f"number must be finite, got {text!r}")
+    return value
 
 
 def parse_complex_list(text: str) -> list[complex]:
@@ -110,16 +121,20 @@ def parse_range(text: str) -> tuple[float, float, int]:
         z0, z1, h = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"range must be numeric, got {text!r}")
-    if h <= 0 or z1 <= z0:
+    if not (h > 0 and z1 > z0):
         raise UsageError("range needs stop > start and step > 0")
-    n = round((z1 - z0) / h) + 1
+    steps = (z1 - z0) / h
+    if not np.isfinite(steps):
+        raise UsageError(f"range must be finite, got {text!r}")
+    n = round(steps) + 1
     if n < 2 or abs((n - 1) * h - (z1 - z0)) > 1e-9 * max(1.0, z1 - z0):
         raise UsageError("range is not an integral number of steps")
     return z0, h, n
 
 
 def _number_from_json(node) -> complex:
-    if isinstance(node, (int, float)):
+    # parse_complex read the numbers; bools are ints, NaN stays a float.
+    if isinstance(node, (int, complex)):
         return complex(node)
     if isinstance(node, str):
         return parse_complex(node)
@@ -137,7 +152,8 @@ def _entry_from_json(node) -> MatrixElement:
 
 def _matrix_from_json(text: str) -> BlockMatrix:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=parse_complex,
+                          parse_int=parse_complex)
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid matrix JSON: {exc}")
     if not isinstance(data, list) or not data:
@@ -305,7 +321,7 @@ def run_dressing(args):
                              convention=args.dt_convention) if gammas else []
     points = [SpectralPoint(g, chi, phi)
               for g, (chi, phi) in zip(gammas, pairs)]
-    chain = DressingChain(tuple(points), seed_grid, c_val)
+    chain = DressingChain(tuple(points), seed_grid)
 
     grids, masks = masked_n_fold(chain, args.N)
     stage_stats = []
@@ -477,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--t", default="0:1:0.001", help="flow start:stop:step")
     p_s.add_argument("--normalize", action="store_true",
                      help="zero the first integral (needs alpha sum 2)")
-    p_s.add_argument("--min-cond", type=float, default=1e-12)
+    p_s.add_argument("--min-cond", type=nonnegative_float, default=1e-12)
     p_s.add_argument("--seed", type=int, default=0)
     p_s.set_defaults(run=run_symmetric, experiment="symmetric")
 

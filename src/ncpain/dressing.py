@@ -61,7 +61,6 @@ class DressingChain:
 
     points: tuple[SpectralPoint, ...]
     seed: GridFunction
-    C: complex
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -73,43 +72,13 @@ class DressingChain:
                 raise ValueError("all chain grids must match the seed grid")
 
 
-def _grid_evaluator(f: GridFunction) -> Callable[[float], RingElement]:
-    """Evaluate a GridFunction off its nodes by 4-point cubic interpolation.
-
-    Keeps the RK4 midpoint evaluations at O(h^4) accuracy.
-    """
-    n = len(f)
-
-    def ev(z: float) -> RingElement:
-        x = (z - f.z0) / f.h
-        k = int(round(x))
-        if abs(x - k) < 1e-9 and 0 <= k < n:
-            return f[k]
-        base = min(max(int(np.floor(x)) - 1, 0), n - 4)
-        t = x - base
-        w = [
-            -(t - 1) * (t - 2) * (t - 3) / 6.0,
-            t * (t - 2) * (t - 3) / 2.0,
-            -t * (t - 1) * (t - 3) / 2.0,
-            t * (t - 1) * (t - 2) / 6.0,
-        ]
-        acc = w[0] * f[base]
-        for idx in range(1, 4):
-            acc = acc + w[idx] * f[base + idx]
-        return acc
-
-    return ev
-
-
-def integrate_linear(v, lam, init: tuple[RingElement, RingElement],
-                     z0: float | None = None, h: float | None = None,
-                     n: int | None = None,
-                     convention: str = "b-matrix"):
+def integrate_linear(v: Callable[[float], RingElement], lam,
+                     init: tuple[RingElement, RingElement], z0: float,
+                     h: float, n: int, convention: str = "b-matrix"):
     """RK4 integration of the eigenfunction pair along z.
 
-    ``v`` is either a closed-form evaluator z -> RingElement or a
-    GridFunction (then the grid parameters default to its own grid).
-    Under the default convention the system is
+    ``v`` evaluates the seed solution at any z; the n grid points run from
+    z0 in steps of h.  Under the default convention the system is
 
         chi' = -2i lam chi + v phi,   phi' = v chi + 2i lam phi.
 
@@ -121,15 +90,6 @@ def integrate_linear(v, lam, init: tuple[RingElement, RingElement],
     if convention not in _FACTORS:
         raise ValueError(f"unknown convention {convention!r}")
     factor = _FACTORS[convention]
-    if isinstance(v, GridFunction):
-        z0 = v.z0 if z0 is None else z0
-        h = v.h if h is None else h
-        n = len(v) if n is None else n
-        evaluate = _grid_evaluator(v)
-    else:
-        if z0 is None or h is None or n is None:
-            raise ValueError("z0, h and n are required with a callable seed")
-        evaluate = v
     if h > MAX_GRID_STEP:
         raise ValueError(f"grid step {h} too coarse, need h <= {MAX_GRID_STEP}")
     chi0, phi0 = init
@@ -141,7 +101,7 @@ def integrate_linear(v, lam, init: tuple[RingElement, RingElement],
 
     def rhs(z, y):
         chi, phi = y
-        vz = evaluate(z)
+        vz = v(z)
         return lead * chi + vz * phi, vz * chi + trail * phi
 
     states, _ = rk4_path(rhs, z0, (chi0, phi0), h, n - 1)
@@ -307,8 +267,7 @@ def _masked(route: Callable[[DressingChain], GridFunction],
         points = [SpectralPoint(p.gamma, take(p.chi), take(p.phi))
                   for p in chain.points]
         try:
-            data[keep] = route(DressingChain(points, take(seed), chain.C)
-                               ).batch.data
+            data[keep] = route(DressingChain(points, take(seed))).batch.data
             break
         except NearSingularError as exc:
             if exc.indices is None:
@@ -333,7 +292,7 @@ def masked_n_fold(chain: DressingChain, n: int
         grid, mask = _masked(
             lambda sub, k=k: _dress(sub.seed,
                                     theta_factor(sub.points, k).batch),
-            DressingChain(chain.points[:k], grids[-1], chain.C), masks[-1])
+            DressingChain(chain.points[:k], grids[-1]), masks[-1])
         grids.append(grid)
         masks.append(mask)
     return grids, masks
@@ -343,5 +302,5 @@ def masked_iterated(chain: DressingChain, n: int
                     ) -> tuple[GridFunction, np.ndarray]:
     """Final stage of the iterated route with a validity mask."""
     return _masked(lambda sub: iterated_darboux(sub, n),
-                   DressingChain(chain.points[:n], chain.seed, chain.C),
+                   DressingChain(chain.points[:n], chain.seed),
                    np.ones(len(chain.seed), dtype=bool))

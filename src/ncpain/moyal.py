@@ -2,12 +2,16 @@
 
 The product is the full bidifferential series
 
-    f * g = sum_k (i*theta/2)^k / k! *
-            sum_j (-1)^j C(k,j) (d1^(k-j) d2^j f) (d2^(k-j) d1^j g)
+    f * g = sum_(a,b) (i*theta/2)^(a+b) (-1)^b / (a! b!) *
+            (d1^a d2^b f) (d2^a d1^b g)
 
-which terminates on polynomials, so a product of exact operands is exact:
-it is summed in dict arithmetic and the basic coordinate relation
-x1*x2 - x2*x1 = i*theta holds to the last bit.
+which terminates on polynomials.  One generator lists its terms and two
+summations consume them.  A product of exact operands is exact: it is
+summed in dict arithmetic, term by term and within a term over f's
+coefficients, then g's, in insertion order.  Terms that cancel cancel
+exactly, so the basic coordinate relation x1*x2 - x2*x1 = i*theta holds to
+the last bit and a theta = 0 product equals the plain polynomial product
+summed in that order.
 
 ``inv`` is approximate: it sums a geometric series truncated at the degree
 cap and is labelled as such in CLI reports.  Products that touch an
@@ -21,7 +25,7 @@ set a larger scale.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial, hypot, perm
 
 import numpy as np
 
@@ -37,45 +41,34 @@ class DegreeOverflowError(ValueError):
     """An exact product would exceed the configured degree cap."""
 
 
-def _deriv(coeffs: dict, var: int) -> dict:
-    out = {}
-    for (m, n), c in coeffs.items():
-        if var == 0 and m > 0:
-            out[(m - 1, n)] = out.get((m - 1, n), 0j) + m * c
-        elif var == 1 and n > 0:
-            out[(m, n - 1)] = out.get((m, n - 1), 0j) + n * c
-    return out
+def _terms(f: MoyalPolynomial, g: MoyalPolynomial):
+    """(a, b, weight) of each term weight (d1^a d2^b f)(d2^a d1^b g)."""
+    kmax = 0 if f.theta == 0.0 else min(f.degree(), g.degree())
+    for a in range(kmax + 1):
+        for b in range(kmax + 1 - a):
+            yield a, b, (0.5j * f.theta) ** (a + b) * (-1) ** b \
+                / (factorial(a) * factorial(b))
 
 
-def _deriv_pow(coeffs: dict, var: int, order: int) -> dict:
-    for _ in range(order):
-        coeffs = _deriv(coeffs, var)
-    return coeffs
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for (m1, n1), c1 in a.items():
-        for (m2, n2), c2 in b.items():
-            key = (m1 + m2, n1 + n2)
-            out[key] = out.get(key, 0j) + c1 * c2
-    return out
+def _deriv(coeffs: dict, a: int, b: int) -> list:
+    """(key, coefficient) pairs of d1^a d2^b, in the dict's order."""
+    return [((m - a, n - b), c * (perm(m, a) * perm(n, b)))
+            for (m, n), c in coeffs.items() if m >= a and n >= b]
 
 
 def _dense(p: MoyalPolynomial) -> np.ndarray:
     """Coefficients as a square array a[m, n], sized to the degree."""
-    size = p.degree() + 1
-    a = np.zeros((size, size), dtype=complex)
+    a = np.zeros((p.degree() + 1,) * 2, dtype=complex)
     for (m, n), c in p.coeffs.items():
         a[m, n] = c
     return a
 
 
-def _falling(size: int, kmax: int) -> np.ndarray:
+def _falling(size: int) -> np.ndarray:
     """w[k, p] = p (p-1) ... (p-k+1): the weight that d^k puts on x^p."""
     p = np.arange(size, dtype=float)
-    w = np.ones((kmax + 1, size))
-    for k in range(1, kmax + 1):
+    w = np.ones((size, size))
+    for k in range(1, size):
         w[k] = w[k - 1] * (p - k + 1)
     return w
 
@@ -83,27 +76,21 @@ def _falling(size: int, kmax: int) -> np.ndarray:
 def _star_dense(f: MoyalPolynomial, g: MoyalPolynomial) -> dict:
     """Star product of f and g cropped to the cap triangle, through the FFT.
 
-    Term (a, b) of the series is (i*theta/2)^(a+b) (-1)^b / (a! b!) times
-    (d1^a d2^b f)(d2^a d1^b g); each derivative is a shifted slice of the
-    dense array times falling-factorial weights.  The products of their
+    For each term of :func:`_terms` both derivatives are shifted slices of
+    the dense arrays times falling-factorial weights.  The products of their
     transforms are summed and inverted once.  Transforms of side
     deg f + deg g + 1 hold the whole linear convolution, so nothing wraps.
     """
     F, G = _dense(f), _dense(g)
-    side = len(F) + len(G) - 1
-    shape = (side, side)
-    kmax = 0 if f.theta == 0.0 else min(len(F), len(G)) - 1
-    wf, wg = _falling(len(F), kmax), _falling(len(G), kmax)
+    shape = (len(F) + len(G) - 1,) * 2
+    wf, wg = _falling(len(F)), _falling(len(G))
     acc = np.zeros(shape, dtype=complex)
-    for a in range(kmax + 1):
-        for b in range(kmax + 1 - a):
-            weight = (0.5j * f.theta) ** (a + b) * (-1) ** b \
-                / (factorial(a) * factorial(b))
-            df = F[a:, b:] * np.outer(weight * wf[a, a:], wf[b, b:])
-            dg = G[b:, a:] * np.outer(wg[b, b:], wg[a, a:])
-            acc += np.fft.fft2(df, shape) * np.fft.fft2(dg, shape)
+    for a, b, weight in _terms(f, g):
+        df = F[a:, b:] * np.outer(weight * wf[a, a:], wf[b, b:])
+        dg = G[b:, a:] * np.outer(wg[b, b:], wg[a, a:])
+        acc += np.fft.fft2(df, shape) * np.fft.fft2(dg, shape)
     rows = np.fft.ifft2(acc).tolist()
-    top = min(f.cap, side - 1)
+    top = min(f.cap, shape[0] - 1)
     return {(m, n): rows[m][n]
             for m in range(top + 1) for n in range(top + 1 - m)}
 
@@ -209,7 +196,7 @@ class MoyalPolynomial(RingElement):
         return self._scale(-1.0)
 
     def norm(self) -> float:
-        return sum(abs(c) ** 2 for c in self.coeffs.values()) ** 0.5
+        return hypot(*map(abs, self.coeffs.values()))
 
     def one_like(self):
         return MoyalPolynomial.one(self.theta, self.cap)
@@ -285,10 +272,12 @@ def _star(f: MoyalPolynomial, g: MoyalPolynomial,
           truncate: bool) -> MoyalPolynomial:
     """Star product; ``truncate`` crops it to the cap instead of raising.
 
-    Exact products keep the dict arithmetic, in which terms that cancel
-    cancel exactly.  Truncated ones go through :func:`_star_dense`; their
-    rounding is absolute, about eps*|f||g| per coefficient for moderate
-    theta, so a coefficient that should be zero may read about 1e-17.
+    Both summations take their terms from :func:`_terms`.  Exact products
+    add them up in dict arithmetic and dict order, so terms that cancel
+    cancel exactly (numpy's vectorised complex products round differently).
+    Truncated ones go through :func:`_star_dense`; their rounding is
+    absolute, about eps*|f||g| per coefficient for moderate theta, so a
+    coefficient that should be zero may read about 1e-17.
     """
     f._require_same_ring(g)
     if truncate:
@@ -299,17 +288,13 @@ def _star(f: MoyalPolynomial, g: MoyalPolynomial,
             f"star product of degrees {f.degree()} and {g.degree()} "
             f"exceeds degree cap {f.cap}")
     out: dict = {}
-    kmax = 0 if f.theta == 0.0 else min(f.degree(), g.degree())
-    for k in range(kmax + 1):
-        pref = (0.5j * f.theta) ** k / factorial(k)
-        for j in range(k + 1):
-            df = _deriv_pow(_deriv_pow(f.coeffs, 0, k - j), 1, j)
-            dg = _deriv_pow(_deriv_pow(g.coeffs, 1, k - j), 0, j)
-            if not df or not dg:
-                continue
-            weight = pref * ((-1) ** j) * comb(k, j)
-            for key, c in _poly_mul(df, dg).items():
-                out[key] = out.get(key, 0j) + weight * c
+    for a, b, weight in _terms(f, g):
+        dg = _deriv(g.coeffs, b, a)
+        for (m1, n1), c1 in _deriv(f.coeffs, a, b):
+            c1 *= weight
+            for (m2, n2), c2 in dg:
+                key = (m1 + m2, n1 + n2)
+                out[key] = out.get(key, 0j) + c1 * c2
     return MoyalPolynomial(out, f.theta, f.cap,
                            approximate=f.approximate or g.approximate)
 

@@ -259,7 +259,7 @@ def test_criterion_6_darboux_pipeline():
     for gamma in (1j, 2j):
         chi, phi = integrate_linear(seed_fn, gamma, (one, one), z0, h, n)
         points.append(SpectralPoint(gamma, chi, phi))
-    chain = DressingChain(tuple(points), seed, 4.0)
+    chain = DressingChain(tuple(points), seed)
 
     # N = 1: quasideterminant eigenfunctions equal the direct formulas
     qd_chi, qd_phi = quasidet_eigenfunctions([points[1], points[0]], 1)
@@ -282,7 +282,7 @@ def test_criterion_6_darboux_pipeline():
     # zero seed is an exact fixed point
     zero_seed = GridFunction(z0, h, tuple(MatrixElement.zeros(1)
                                           for _ in range(n)))
-    zero_chain = DressingChain(tuple(points), zero_seed, 0.0)
+    zero_chain = DressingChain(tuple(points), zero_seed)
     zero_norm = n_fold_darboux(zero_chain, 2).sup_norm()
 
     # d = 1 commutative path equals the matrix path with d = 1

@@ -46,8 +46,17 @@ class TestParsing:
     ["dress", "--N", "1", "--gamma", "i", "--d", "0", "--z", "1:1.2:0.002"],
     ["dress", "--N", "1", "--gamma", "i", "--z", "1:2:0.05"],
     ["dress", "--N", "0", "--z", "1:1.003:0.001"],
+    ["dress", "--N", "0", "--z", "1:inf:0.001"],
+    ["symmetric", "--t", "0:1e300:1e-300"],
+    ["zc", "--seed-kind", "rational", "--C", "nan"],
+    ["zc", "--seed-kind", "rational", "--C", "1e400"],
+    ["symmetric", "--min-cond", "nan"],
+    ["symmetric", "--min-cond", "-1"],
+    ["quasidet", "--inline", "[[1e400]]", "--pos", "1", "1"],
 ], ids=["ragged", "empty", "missing-file", "null-cell", "zc-d0",
-        "zc-trials0", "dress-d0", "coarse-grid", "short-grid"])
+        "zc-trials0", "dress-d0", "coarse-grid", "short-grid", "inf-range",
+        "overflowing-range", "nan-C", "overflowing-C", "nan-min-cond",
+        "negative-min-cond", "overflowing-cell"])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a
             for a in argv]

@@ -80,15 +80,6 @@ class TestIntegrateLinear:
         e_fine = (endpoint(1e-3) - ref).norm()
         assert 12.0 <= e_coarse / e_fine <= 20.0
 
-    def test_grid_input_matches_callable(self):
-        lam = 1j
-        sampled = GridFunction.sample(rational_field, 1.0, 1e-3, 501)
-        chi_a, phi_a = integrate_linear(rational_field, lam, (ONE, ONE),
-                                        1.0, 1e-3, 501)
-        chi_b, phi_b = integrate_linear(sampled, lam, (ONE, ONE))
-        assert grid_diff(chi_a, chi_b) <= 1e-9
-        assert grid_diff(phi_a, phi_b) <= 1e-9
-
     def test_rational_seed_chi_stays_invertible(self):
         chi, _ = integrate_linear(rational_field, 1j, (ONE, ONE),
                                   1.0, 1e-3, 1001)
@@ -223,7 +214,7 @@ class TestNFold:
         gammas = [1j, 2j, 3j, 0.5 - 0.5j][:n_points]
         points = tuple(random_point(rng, g, d, n) for g in gammas)
         seed = random_grid(rng, d, n)
-        return DressingChain(points, seed, 4.0)
+        return DressingChain(points, seed)
 
     def test_zero_fold_returns_seed(self, rng):
         chain = self._chain(rng)
@@ -251,7 +242,7 @@ class TestNFold:
         points = tuple(random_point(rng, g, 2) for g in (1j, 2j))
         seed = GridFunction(points[0].chi.z0, points[0].chi.h,
                             tuple(MatrixElement.zeros(2) for _ in range(8)))
-        chain = DressingChain(points, seed, 0.0)
+        chain = DressingChain(points, seed)
         assert n_fold_darboux(chain, 2).sup_norm() == 0.0
 
     def test_matches_pointwise_evaluation_exactly(self, rng):
@@ -281,12 +272,12 @@ class TestNFold:
         p1 = random_point(rng, 1j)
         p2 = random_point(rng, 1j)
         with pytest.raises(ValueError):
-            DressingChain((p1, p2), random_grid(rng, 2), 0.0)
+            DressingChain((p1, p2), random_grid(rng, 2))
 
     def test_mismatched_grids_rejected(self, rng):
         p1 = random_point(rng, 1j, n=8)
         with pytest.raises(ValueError):
-            DressingChain((p1,), random_grid(rng, 2, n=9), 0.0)
+            DressingChain((p1,), random_grid(rng, 2, n=9))
 
 
 class TestMaskedPipeline:
@@ -298,7 +289,7 @@ class TestMaskedPipeline:
                            random_grid(rng, 1, n))
         p2 = random_point(rng, 2j, d=1, n=n)
         seed = random_grid(rng, 1, n)
-        chain = DressingChain((p1, p2), seed, 4.0)
+        chain = DressingChain((p1, p2), seed)
         grids, masks = masked_n_fold(chain, 2)
         assert masks[0].all()
         assert not masks[1][4] and masks[1].sum() == n - 1
@@ -313,7 +304,7 @@ class TestMaskedPipeline:
 
     def test_no_masking_on_clean_data(self, rng):
         points = tuple(random_point(rng, g, 2) for g in (1j, 2j))
-        chain = DressingChain(points, random_grid(rng, 2), 4.0)
+        chain = DressingChain(points, random_grid(rng, 2))
         grids, masks = masked_n_fold(chain, 2)
         assert all(m.all() for m in masks)
         strict = n_fold_darboux(chain, 2)
@@ -334,7 +325,7 @@ class TestMaskedPipeline:
                            GridFunction(1.0, 1e-3, phi1))
         p2 = SpectralPoint(2j, GridFunction(1.0, 1e-3, chi2),
                            GridFunction(1.0, 1e-3, phi2))
-        chain = DressingChain((p1, p2), random_grid(rng, 1, n), 4.0)
+        chain = DressingChain((p1, p2), random_grid(rng, 1, n))
         stages, masks = masked_n_fold(chain, 2)
         assert np.flatnonzero(~masks[1]).tolist() == [4]
         assert np.flatnonzero(~masks[2]).tolist() == [4, 7]
