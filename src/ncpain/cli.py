@@ -8,9 +8,10 @@ arguments; input the library rejects raises ``ValueError``.  Exit codes:
 0 success, 1 usage error (bad arguments or input, an unreadable ``--file``
 or an unwritable ``--out``), 2 numerical failure (near-singular data),
 3 truncated flow.  Reports are deterministic for fixed parameters and
-seed apart from the duration field; NCPAIN_THREADS caps the worker pool
-of ``zc``'s lambda sweep.  A reader closing stdout early changes neither
-the exit code nor the report.
+seed apart from the duration field.  ``zc``'s lambda sweep runs on one
+thread unless NCPAIN_THREADS asks for a pool of that many.  A value may
+start with a minus sign (``--z -1:-0.99:0.001``).  A reader closing stdout
+early changes neither the exit code nor the report.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,10 +29,10 @@ import numpy as np
 from .dressing import (CONVENTIONS, DressingChain, SpectralPoint,
                        integrate_linear, masked_iterated, masked_n_fold)
 from .grid import GridFunction
-from .laxpair import (PiiState, SymState, build_A, build_B, first_integral,
-                      integrate_symmetric, lax_residual_symmetric,
-                      normalize_first_integral, pii_residual_exact,
-                      pii_residual_grid, reduction_check,
+from .laxpair import (PiiState, SymState, build_A, build_B,
+                      first_integral_drift, integrate_symmetric,
+                      lax_residual_symmetric, normalize_first_integral,
+                      pii_residual_exact, pii_residual_grid, reduction_check,
                       zero_curvature_residual)
 from .quasidet import (BlockMatrix, quasideterminant, quasideterminant_oracle)
 from .reports import ExperimentReport, write_grid_csv
@@ -49,6 +51,13 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as a value only if
+        # it is a plain negative number; also read "-1:-0.99:0.001", "-1,i"
+        # and "-i" so (no option here is "-" and a digit, "." or i/j).
+        self._negative_number_matcher = re.compile(r"-\.?[\dij]", re.I)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -70,13 +79,15 @@ def nonnegative_float(text: str) -> float:
 
 
 def max_workers() -> int:
+    """Worker threads of zc's lambda sweep: NCPAIN_THREADS, by default 1
+    (the sweep holds the GIL, so more threads only add overhead)."""
     env = os.environ.get("NCPAIN_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise UsageError(f"NCPAIN_THREADS must be an integer, got {env!r}")
-    return min(8, os.cpu_count() or 1)
+    return 1
 
 
 def _pool_map(fn, items):
@@ -399,8 +410,7 @@ def run_symmetric(args):
             lax_samples.append({"t": s.t, "residual": None,
                                 "error": str(exc)})
 
-    f0 = first_integral(states[0])
-    drift = max((first_integral(s) - f0).norm() for s in states)
+    drift = first_integral_drift(states)
 
     reduction = None
     if args.normalize and not flow.truncated and len(states) >= 5:

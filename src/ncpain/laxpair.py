@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import GridFunction, require_stencil_length
 from .integrators import rk4_path
 from .quasidet import BlockMatrix
@@ -224,10 +226,35 @@ def lax_residual_symmetric(s: SymState, rhs=None) -> BlockMatrix:
 
 
 def first_integral(s: SymState) -> RingElement:
-    """v0 + v1 + v2^2 - (alpha0 + alpha1) t; constant along the flow."""
-    one = s.v0.one_like()
-    return s.v0 + s.v1 + s.v2 * s.v2 \
-        - ((s.alpha0 + s.alpha1) * s.t) * one
+    """v0 + v1 + v2^2 - (alpha0 + alpha1) t; constant along the flow.
+
+    ``s.t`` is a number, or a batched central element holding each state's
+    t (see ``first_integral_drift``).
+    """
+    alpha_sum = s.alpha0 + s.alpha1
+    t_term = alpha_sum * s.t if isinstance(s.t, RingElement) \
+        else (alpha_sum * s.t) * s.v0.one_like()
+    return s.v0 + s.v1 + s.v2 * s.v2 - t_term
+
+
+def first_integral_drift(states) -> float:
+    """max over the states of |first_integral(s) - first_integral(states[0])|.
+
+    The states are evaluated as one batched SymState per STENCIL_BLOCK of
+    them, which gives the per-state value bit for bit.
+    """
+    s0 = states[0]
+    f0 = first_integral(s0)
+    norms = []
+    for lo in range(0, len(states), STENCIL_BLOCK):
+        block = states[lo:lo + STENCIL_BLOCK]
+        v0, v1, v2 = (MatrixElement(np.stack([getattr(s, name).data
+                                              for s in block]))
+                      for name in ("v0", "v1", "v2"))
+        t = MatrixElement.scalars([s.t for s in block], v0.d)
+        batch = SymState(v0, v1, v2, s0.alpha0, s0.alpha1, t)
+        norms += (first_integral(batch) - f0).point_norms().tolist()
+    return max(norms)
 
 
 def normalize_first_integral(s: SymState) -> SymState:

@@ -3,8 +3,10 @@
 Every formula in this package is written against the small ``RingElement``
 interface, so the same matrix builders and residual checks run unchanged
 over complex numbers, matrix rings, and the star-product polynomials of
-:mod:`ncpain.moyal`.  Elements are immutable values: all operations return
-fresh objects and are safe to share across threads.
+:mod:`ncpain.moyal`.  Elements are immutable values, safe to share across
+threads: an arithmetic result owns a fresh read-only array, and
+``eye``/``one_like`` and ``zeros``/``zero_like`` hand out one shared
+identity and zero per size.
 
 A ``MatrixElement`` may carry a leading batch axis, data of shape (n, d, d),
 one position per grid point or spectral parameter: each operation acts on
@@ -16,6 +18,7 @@ position in ``NearSingularError.indices``.
 from __future__ import annotations
 
 import abc
+import functools
 
 import numpy as np
 
@@ -97,8 +100,10 @@ class RingElement(abc.ABC):
     def singular_extremes(self) -> tuple[float, float]:
         """(smallest, largest) singular-value estimates, for monitors."""
 
+    # Each binary operator tests for its own class before the slower ABC
+    # isinstance: in a flow step nearly every operand is one.
     def __add__(self, other):
-        if isinstance(other, RingElement):
+        if other.__class__ is self.__class__ or isinstance(other, RingElement):
             return self._add(other)
         if isinstance(other, _SCALAR_TYPES):
             return self._add(self.one_like()._scale(complex(other)))
@@ -107,7 +112,7 @@ class RingElement(abc.ABC):
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, RingElement):
+        if other.__class__ is self.__class__ or isinstance(other, RingElement):
             return self._add(-other)
         if isinstance(other, _SCALAR_TYPES):
             return self._add(self.one_like()._scale(-complex(other)))
@@ -119,7 +124,7 @@ class RingElement(abc.ABC):
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, RingElement):
+        if other.__class__ is self.__class__ or isinstance(other, RingElement):
             return self._mul(other)
         if isinstance(other, _SCALAR_TYPES):
             return self._scale(complex(other))
@@ -145,7 +150,10 @@ class MatrixElement(RingElement):
     ``data`` has shape (d, d), or (n, d, d) for a batch of n matrices that
     every operation treats position by position; ``one_like``/``zero_like``
     are unbatched and broadcast.  ``norm`` covers all of ``data``,
-    ``point_norms`` gives one Frobenius norm per batch position.
+    ``point_norms`` gives one Frobenius norm per batch position.  The
+    constructor copies ``data``, so the caller's array stays writable and a
+    view into a batch does not keep the batch alive; ring results wrap the
+    array they computed without a copy.
     """
 
     __slots__ = ("data",)
@@ -164,11 +172,14 @@ class MatrixElement(RingElement):
     def d(self) -> int:
         return self.data.shape[-1]
 
+    # One shared identity and zero per size: elements are immutable.
     @classmethod
+    @functools.cache
     def eye(cls, d: int) -> "MatrixElement":
         return cls(np.eye(d))
 
     @classmethod
+    @functools.cache
     def zeros(cls, d: int) -> "MatrixElement":
         return cls(np.zeros((d, d)))
 
@@ -182,32 +193,32 @@ class MatrixElement(RingElement):
         return cls(np.asarray(values, complex)[:, None, None] * np.eye(d))
 
     def _require_same_ring(self, other):
-        if not isinstance(other, MatrixElement):
+        if other.__class__ is not MatrixElement:
             raise DimensionMismatchError(
                 f"cannot combine MatrixElement with {type(other).__name__}")
-        if other.d != self.d:
+        if other.data.shape[-1] != self.data.shape[-1]:
             raise DimensionMismatchError(
                 f"dimension mismatch: {self.d} vs {other.d}")
 
     def _add(self, other):
         self._require_same_ring(other)
-        return MatrixElement(self.data + other.data)
+        return _wrap(self.data + other.data)
 
     def _mul(self, other):
         self._require_same_ring(other)
-        return MatrixElement(self.data @ other.data)
+        return _wrap(self.data @ other.data)
 
     def _scale(self, scalar):
-        return MatrixElement(scalar * self.data)
+        return _wrap(scalar * self.data)
 
     def __neg__(self):
-        return MatrixElement(-self.data)
+        return _wrap(-self.data)
 
     def inv(self):
         smin, smax = self.singular_extremes()
         if smin <= COND_FLOOR * smax or smax == 0.0:
             raise self._refusal()
-        return MatrixElement(np.linalg.inv(self.data))
+        return _wrap(np.linalg.inv(self.data))
 
     def _refusal(self) -> NearSingularError:
         smin, smax = self._point_extremes()
@@ -229,10 +240,10 @@ class MatrixElement(RingElement):
                        + np.vecdot(flat.imag, flat.imag))
 
     def one_like(self):
-        return MatrixElement.eye(self.d)
+        return MatrixElement.eye(self.data.shape[-1])
 
     def zero_like(self):
-        return MatrixElement.zeros(self.d)
+        return MatrixElement.zeros(self.data.shape[-1])
 
     def _point_extremes(self) -> tuple[np.ndarray, np.ndarray]:
         # Per batch position; one with a non-finite entry reads (0, inf).
@@ -270,6 +281,16 @@ class MatrixElement(RingElement):
         if self.data.shape == (1, 1):
             return f"MatrixElement.scalar({self.data[0, 0]})"
         return f"MatrixElement({self.data.tolist()})"
+
+
+def _wrap(arr: np.ndarray) -> MatrixElement:
+    """The private constructor of ring results: ``arr`` is a complex array
+    of shape (d, d) or (n, d, d) that was just computed and that nothing
+    else references, so it is frozen in place, without a copy or a check."""
+    el = object.__new__(MatrixElement)
+    arr.setflags(write=False)
+    el.data = arr
+    return el
 
 
 def commutator(a: RingElement, b: RingElement) -> RingElement:

@@ -193,6 +193,23 @@ class TestDressCommand:
                    tmp_path) == 1
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (["dress", "--N", "0"], "--z", "-1:-0.99:0.001"),
+    (["symmetric"], "--t", "-1:0:0.001"),
+    (["zc"], "--lambda", "-1,i"),
+    (["dress", "--N", "1", "--z", "1:1.2:0.002"], "--gamma", "-i"),
+], ids=["dress-z", "symmetric-t", "zc-lambda", "dress-gamma"])
+def test_value_with_leading_minus(argv, option, value, tmp_path):
+    reports = []
+    for form, args in (("spaced", [option, value]),
+                       ("joined", [f"{option}={value}"])):
+        assert run(argv + args, tmp_path / form) == 0
+        report = load_report(tmp_path / form, f"{argv[0]}_report.json")
+        report.pop("duration_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 class TestSymmetricCommand:
     def test_fixed_point(self, tmp_path):
         code = run(["symmetric", "--v0", "1", "--v1", "1", "--v2", "0",

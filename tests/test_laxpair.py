@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ncpain.ring import MatrixElement, anticommutator
+from ncpain.ring import MatrixElement, anticommutator, random_invertible
 from ncpain.grid import GridFunction
 from ncpain.laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A,
                             build_B, build_L, build_P, first_integral,
-                            integrate_symmetric, lax_residual_symmetric,
+                            first_integral_drift, integrate_symmetric, lax_residual_symmetric,
                             normalize_first_integral, pii_from_zero_curvature,
                             pii_residual_exact, pii_residual_grid,
                             reduction_check, symmetric_rhs,
@@ -288,6 +288,62 @@ class TestFlow:
         assert flow.truncated
         assert "v0" in flow.reason
         assert len(flow.states) < 1001
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_plain_numpy_rk4_bit_for_bit(self, d):
+        # The same RK4 on bare complex128 arrays, in the same order of
+        # operations as symmetric_rhs and rk4_step (a scalar c times an
+        # element is complex(c) times its array).
+        rng = np.random.default_rng(7 + d)
+        y0 = tuple(random_invertible(rng, d, scale=0.5) for _ in range(3))
+        alpha0, alpha1, h, steps = 0.5 - 0.25j, 1.5, 0.01, 50
+        flow = integrate_symmetric(SymState(*y0, alpha0, alpha1), steps * h,
+                                   h)
+        eye = np.eye(d, dtype=complex)
+
+        def rhs(v0, v1, v2):
+            return (v2 @ v0 + v0 @ v2 + complex(alpha0) * eye,
+                    -(v2 @ v1 + v1 @ v2) + complex(alpha1) * eye,
+                    v1 - v0)
+
+        def axpy(y, k, c):
+            return tuple(yi + complex(c) * ki for yi, ki in zip(y, k))
+
+        y = tuple(el.data for el in y0)
+        expected = [y]
+        for _ in range(steps):
+            k1 = rhs(*y)
+            k2 = rhs(*axpy(y, k1, h / 2))
+            k3 = rhs(*axpy(y, k2, h / 2))
+            k4 = rhs(*axpy(y, k3, h))
+            two = complex(2)
+            y = tuple(yi + complex(h / 6) * (a + two * b + two * c + e)
+                      for yi, a, b, c, e in zip(y, k1, k2, k3, k4))
+            expected.append(y)
+
+        assert not flow.truncated and len(flow.states) == steps + 1
+        for s, fields in zip(flow.states, expected):
+            for el, arr in zip((s.v0, s.v1, s.v2), fields):
+                assert el.data.tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_batched_drift_is_the_per_state_maximum(self, truncated):
+        if truncated:
+            s0 = SymState(MatrixElement.scalar(-0.05),
+                          MatrixElement.scalar(1.0),
+                          MatrixElement.scalar(0.0), 1.0, 0.0)
+            flow = integrate_symmetric(s0, 1.0, 1e-3, min_condition=1e-2)
+        else:
+            rng = np.random.default_rng(3)
+            s0 = SymState(*(random_invertible(rng, 3, scale=0.5)
+                            for _ in range(3)), 0.5 - 0.1j, 1.5, 0.2)
+            flow = integrate_symmetric(s0, 0.9, 1e-3)
+            assert len(flow.states) > STENCIL_BLOCK
+        assert flow.truncated == truncated
+        f0 = first_integral(flow.states[0])
+        expected = max((first_integral(s) - f0).norm() for s in flow.states)
+        assert expected > 0.0
+        assert first_integral_drift(flow.states) == expected
 
     def test_blowup_truncation(self):
         # steep data drives v2 into a finite-time pole

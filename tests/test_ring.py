@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as hst
 
+from ncpain.grid import GridFunction
 from ncpain.ring import (DimensionMismatchError, MatrixElement,
                          NearSingularError, anticommutator, commutator,
                          random_invertible)
@@ -232,3 +233,43 @@ class TestBatch:
         data = np.stack([np.diag([1.0, 0.5]), np.diag([2.0, 1e-3]),
                          np.eye(2)])
         assert MatrixElement(data).singular_extremes() == (1e-3, 2.0)
+
+
+class TestOwnership:
+    def test_results_are_read_only_and_own_their_data(self, rng):
+        for shape in ((3, 3), (4, 3, 3)):
+            a = MatrixElement(rng.standard_normal(shape) + 3 * np.eye(3))
+            b = MatrixElement(rng.standard_normal(shape) + 3 * np.eye(3))
+            results = (a + b, a - b, a * b, 2 * a, a * 0.5j, -a, a.inv(),
+                       a + 3, 1 - a, a ** 2)
+            for r in results:
+                assert not r.data.flags.writeable
+                with pytest.raises(ValueError):
+                    r.data[..., 0, 0] = 0.0
+                for operand in (a, b):
+                    assert not np.shares_memory(r.data, operand.data)
+
+    def test_identity_and_zero_are_shared_and_frozen(self, rng):
+        a, b = gaussian_element(rng, 3), gaussian_element(rng, 3)
+        assert a.one_like() is b.one_like() is MatrixElement.eye(3)
+        assert a.zero_like() is b.zero_like() is MatrixElement.zeros(3)
+        assert a.one_like() is not gaussian_element(rng, 2).one_like()
+        for shared in (a.one_like(), a.zero_like()):
+            with pytest.raises(ValueError):
+                shared.data[0, 0] = 5.0
+        assert np.array_equal(a.one_like().data, np.eye(3))
+        assert np.array_equal(a.zero_like().data, np.zeros((3, 3)))
+
+    def test_constructor_copies_its_input(self):
+        arr = np.eye(2, dtype=complex)
+        el = MatrixElement(arr)
+        assert not np.shares_memory(el.data, arr)
+        arr[0, 0] = 5.0
+        assert arr.flags.writeable
+        assert el.data[0, 0] == 1.0
+
+    def test_batch_position_does_not_view_the_batch(self):
+        batch = MatrixElement(np.stack([np.eye(2)] * 3))
+        grid = GridFunction(0.0, 0.1, batch)
+        assert not np.shares_memory(grid[1].data, grid.batch.data)
+        assert not np.shares_memory(grid[0:2].data, grid.batch.data)
