@@ -6,7 +6,9 @@ from typing import Callable
 
 State = tuple  # tuple of RingElements
 Rhs = Callable[[float, State], State]
-Monitor = Callable[[float, State], str | None]
+# (times, states) of a block -> None, or (first refused index, reason)
+Monitor = Callable[[list, list], tuple[int, str] | None]
+MONITOR_BLOCK = 64  # steps per monitor call
 
 
 def _axpy(y: State, k: State, c: float) -> State:
@@ -27,17 +29,25 @@ def rk4_path(f: Rhs, t0: float, y0: State, h: float, steps: int,
              ) -> tuple[list[State], str | None]:
     """Integrate ``steps`` RK4 steps; stop early if the monitor objects.
 
+    The monitor sees MONITOR_BLOCK steps at a time (the last block may be
+    shorter): the times ``t0 + i*h + h`` and the states reached at them.
+    It returns None, or the index of the first refused state in the block
+    and the reason; the path then ends just before that state.  The steps
+    after it in the block are discarded; silencing the floating-point
+    warnings they may raise is up to the caller.
+
     Returns the list of states (including y0) and the truncation reason,
     or None if the full path was covered.
     """
     states = [y0]
     y = y0
-    for i in range(steps):
-        t = t0 + i * h
-        y = rk4_step(f, t, y, h)
-        if monitor is not None:
-            reason = monitor(t + h, y)
-            if reason is not None:
-                return states, reason
-        states.append(y)
+    for lo in range(0, steps, MONITOR_BLOCK):
+        block = range(lo, min(lo + MONITOR_BLOCK, steps))
+        ys = [y := rk4_step(f, t0 + i * h, y, h) for i in block]
+        refused = None if monitor is None else \
+            monitor([t0 + i * h + h for i in block], ys)
+        if refused is not None:
+            k, reason = refused
+            return states + ys[:k], reason
+        states += ys
     return states, None

@@ -198,12 +198,14 @@ def build_P(s: SymState) -> BlockMatrix:
     ])
 
 
+def _flow_rhs(v0, v1, v2, a0, a1):
+    # a0, a1: the central elements alpha0 * one and alpha1 * one.
+    return v2 * v0 + v0 * v2 + a0, a1 - (v2 * v1 + v1 * v2), v1 - v0
+
+
 def symmetric_rhs(s: SymState) -> tuple[RingElement, RingElement, RingElement]:
     one = s.v0.one_like()
-    d0 = s.v2 * s.v0 + s.v0 * s.v2 + s.alpha0 * one
-    d1 = -(s.v2 * s.v1 + s.v1 * s.v2) + s.alpha1 * one
-    d2 = s.v1 - s.v0
-    return d0, d1, d2
+    return _flow_rhs(s.v0, s.v1, s.v2, s.alpha0 * one, s.alpha1 * one)
 
 
 def lax_residual_symmetric(s: SymState, rhs=None) -> BlockMatrix:
@@ -279,26 +281,34 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
     if steps < 1 or abs(steps * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError("t range is not an integral number of steps")
 
+    one = s0.v0.one_like()
+    a0, a1 = s0.alpha0 * one, s0.alpha1 * one
+
     def rhs(t, y):
-        return symmetric_rhs(SymState(y[0], y[1], y[2],
-                                      s0.alpha0, s0.alpha1, t))
+        return _flow_rhs(*y, a0, a1)
 
-    def monitor(t, y):
-        extremes = [el.singular_extremes() for el in y]
-        for name, (smin, smax) in zip(("v0", "v1", "v2"), extremes):
-            if not (smax < 1e100):
-                return f"{name} is no longer finite at t = {t:.6g}"
-        for name, (smin, smax) in zip(("v0", "v1"), extremes):
-            # Invertibility margin: the smallest singular value, saturated
-            # so tiny well-conditioned scalars are still flagged.
-            margin = smin / max(smax, 1.0)
-            if margin < min_condition:
-                return (f"{name} is near-singular at t = {t:.6g} "
-                        f"(margin {margin:.3e})")
-        return None
+    def monitor(times, ys):
+        # One batched SVD per block; rows are states, columns v0, v1, v2.
+        smin, smax = (a.reshape(-1, 3) for a in MatrixElement(
+            [el.data for y in ys for el in y]).point_extremes())
+        # Invertibility margin of v0 and v1: the smallest singular value,
+        # saturated so tiny well-conditioned scalars are still flagged.
+        margin = smin[:, :2] / np.maximum(smax[:, :2], 1.0)
+        # Row-major order: per state, finiteness of v0, v1, v2, then margins.
+        hits = np.argwhere(np.hstack([~(smax < 1e100),
+                                      margin < min_condition]))
+        if not len(hits):
+            return None
+        i, j = (int(x) for x in hits[0])
+        if j < 3:
+            return i, f"v{j} is no longer finite at t = {times[i]:.6g}"
+        return i, (f"v{j - 3} is near-singular at t = {times[i]:.6g} "
+                   f"(margin {margin[i, j - 3]:.3e})")
 
-    y0 = (s0.v0, s0.v1, s0.v2)
-    ys, reason = rk4_path(rhs, s0.t, y0, h, steps, monitor=monitor)
+    # Steps computed past a refused state must not warn of their overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys, reason = rk4_path(rhs, s0.t, (s0.v0, s0.v1, s0.v2), h, steps,
+                              monitor=monitor)
     states = [SymState(y[0], y[1], y[2], s0.alpha0, s0.alpha1, s0.t + i * h)
               for i, y in enumerate(ys)]
     return FlowResult(states, reason is not None, reason)

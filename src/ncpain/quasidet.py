@@ -51,17 +51,18 @@ class BlockMatrix:
     def entry(self, i: int, j: int) -> RingElement:
         return self.entries[i][j]
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if not isinstance(other, BlockMatrix):
             return NotImplemented
         self._require_same_shape(other)
-        return BlockMatrix([[a + b for a, b in zip(ra, rb)]
+        return BlockMatrix([[op(a, b) for a, b in zip(ra, rb)]
                             for ra, rb in zip(self.entries, other.entries)])
 
+    def __add__(self, other):
+        return self._entrywise(other, lambda a, b: a + b)
+
     def __sub__(self, other):
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        return self + (-other)
+        return self._entrywise(other, lambda a, b: a - b)
 
     def __neg__(self):
         return BlockMatrix([[-a for a in row] for row in self.entries])

@@ -3,10 +3,11 @@
 Every formula in this package is written against the small ``RingElement``
 interface, so the same matrix builders and residual checks run unchanged
 over complex numbers, matrix rings, and the star-product polynomials of
-:mod:`ncpain.moyal`.  Elements are immutable values, safe to share across
-threads: an arithmetic result owns a fresh read-only array, and
-``eye``/``one_like`` and ``zeros``/``zero_like`` hand out one shared
-identity and zero per size.
+:mod:`ncpain.moyal`.  ``a - b`` goes through ``_sub``, which defaults to
+``a + (-b)``; ``MatrixElement`` overrides it with one array subtraction.
+Elements are immutable values, safe to share across threads: an arithmetic
+result owns a fresh read-only array, and ``eye``/``one_like`` and
+``zeros``/``zero_like`` hand out one shared identity and zero per size.
 
 A ``MatrixElement`` may carry a leading batch axis, data of shape (n, d, d),
 one position per grid point or spectral parameter: each operation acts on
@@ -73,6 +74,9 @@ class RingElement(abc.ABC):
     @abc.abstractmethod
     def _mul(self, other: "RingElement") -> "RingElement": ...
 
+    def _sub(self, other: "RingElement") -> "RingElement":
+        return self._add(-other)
+
     @abc.abstractmethod
     def _scale(self, scalar: complex) -> "RingElement": ...
 
@@ -113,14 +117,14 @@ class RingElement(abc.ABC):
 
     def __sub__(self, other):
         if other.__class__ is self.__class__ or isinstance(other, RingElement):
-            return self._add(-other)
+            return self._sub(other)
         if isinstance(other, _SCALAR_TYPES):
             return self._add(self.one_like()._scale(-complex(other)))
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _SCALAR_TYPES):
-            return (-self)._add(self.one_like()._scale(complex(other)))
+            return self.one_like()._scale(complex(other))._sub(self)
         return NotImplemented
 
     def __mul__(self, other):
@@ -204,6 +208,10 @@ class MatrixElement(RingElement):
         self._require_same_ring(other)
         return _wrap(self.data + other.data)
 
+    def _sub(self, other):
+        self._require_same_ring(other)
+        return _wrap(self.data - other.data)
+
     def _mul(self, other):
         self._require_same_ring(other)
         return _wrap(self.data @ other.data)
@@ -221,7 +229,7 @@ class MatrixElement(RingElement):
         return _wrap(np.linalg.inv(self.data))
 
     def _refusal(self) -> NearSingularError:
-        smin, smax = self._point_extremes()
+        smin, smax = self.point_extremes()
         bad = np.flatnonzero((smin <= COND_FLOOR * smax) | (smax == 0.0))
         low, high = float(smin.flat[bad[0]]), float(smax.flat[bad[0]])
         cond = float("inf") if low == 0.0 else high / low
@@ -245,8 +253,9 @@ class MatrixElement(RingElement):
     def zero_like(self):
         return MatrixElement.zeros(self.data.shape[-1])
 
-    def _point_extremes(self) -> tuple[np.ndarray, np.ndarray]:
-        # Per batch position; one with a non-finite entry reads (0, inf).
+    def point_extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(smallest, largest) singular value of each batch position, from
+        one batched SVD; a position with a non-finite entry reads (0, inf)."""
         finite = np.isfinite(self.data).all(axis=(-2, -1))
         if finite.all():
             s = np.linalg.svd(self.data, compute_uv=False)
@@ -259,7 +268,7 @@ class MatrixElement(RingElement):
     def singular_extremes(self):
         """(smallest, largest) singular value; for a batch, those of the
         position with the smallest ratio smallest / largest."""
-        smin, smax = self._point_extremes()
+        smin, smax = self.point_extremes()
         if smin.ndim:
             margin = np.divide(smin, smax, out=np.zeros_like(smin),
                                where=smax > 0)

@@ -297,6 +297,19 @@ def test_console_entry_point(tmp_path):
     assert "quasideterminant" in proc.stdout
 
 
+def test_truncated_blowup_prints_only_its_reason(tmp_path):
+    # The flow overflows in the steps computed past the refused state; no
+    # warning about it may reach stderr.
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncpain.cli", "symmetric", "--v0", "5",
+         "--v1", "1", "--v2", "-300", "--alpha0", "0.5", "--alpha1", "1.5",
+         "--t", "0:2:0.01", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == ("flow truncated: v0 is no longer finite "
+                           "at t = 0.06\n")
+
+
 def test_closed_stdout_is_not_an_error(tmp_path):
     # The reader is gone before the command starts, as in `ncpain ... | true`.
     read_end, write_end = os.pipe()

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from ncpain.integrators import rk4_step
 from ncpain.ring import MatrixElement, anticommutator, random_invertible
 from ncpain.grid import GridFunction
 from ncpain.laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A,
@@ -350,9 +353,102 @@ class TestFlow:
         s0 = normalize_first_integral(
             SymState(MatrixElement.scalar(0.1), MatrixElement.scalar(1.0),
                      MatrixElement.scalar(-3.0), 0.5, 1.5))
-        with np.errstate(over="ignore", invalid="ignore"):
+        # The steps computed past the refused state overflow; no warning
+        # about it may reach the caller, whatever the caller's error state.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             flow = integrate_symmetric(s0, 2.0, 1e-3)
         assert flow.truncated
+        assert flow.reason == "v0 is no longer finite at t = 0.336"
+
+
+def per_step_flow(s0, t_end, h, min_condition=1e-12):
+    """The flow with a monitor check after every single RK4 step."""
+    def rhs(t, y):
+        return symmetric_rhs(SymState(*y, s0.alpha0, s0.alpha1, t))
+
+    y = (s0.v0, s0.v1, s0.v2)
+    states = [y]
+    for i in range(round((t_end - s0.t) / h)):
+        t = s0.t + i * h
+        y = rk4_step(rhs, t, y, h)
+        extremes = [el.singular_extremes() for el in y]
+        for name, (smin, smax) in zip(("v0", "v1", "v2"), extremes):
+            if not smax < 1e100:
+                return states, f"{name} is no longer finite at t = {t + h:.6g}"
+        for name, (smin, smax) in zip(("v0", "v1"), extremes):
+            margin = smin / max(smax, 1.0)
+            if margin < min_condition:
+                return states, (f"{name} is near-singular at t = {t + h:.6g} "
+                                f"(margin {margin:.3e})")
+        states.append(y)
+    return states, None
+
+
+def _scalar_state(v0, v1, v2, alpha0, alpha1):
+    return SymState(*map(MatrixElement.scalar, (v0, v1, v2)), alpha0, alpha1)
+
+
+NEAR_SINGULAR = _scalar_state(-0.05, 1.0, 0.0, 1.0, 0.0)
+STEEP = _scalar_state(5.0, 1.0, -300.0, 0.5, 1.5)
+
+
+def _cli_random_state(d, seed):
+    """The data of `ncpain symmetric --random-matrix d --seed seed
+    --alpha0 0.5 --alpha1 1.5`."""
+    rng = np.random.default_rng(seed)
+    return SymState(*(random_invertible(rng, d, scale=0.5)
+                      for _ in range(3)), 0.5, 1.5)
+
+
+class TestBlockMonitor:
+    # (start, t_end, h, min_condition, index of the refused step or None);
+    # the comments place the refused step among blocks of 64 steps.
+    CASES = {
+        # block 0 of 16
+        "first-block": (NEAR_SINGULAR, 1.0, 1e-3, 1e-2, 40),
+        # 3 * 64 + 32
+        "mid-block": (NEAR_SINGULAR, 1.0, 1 / 5600, 1e-2, 224),
+        # 210 steps: the last block holds steps 192-209
+        "final-partial-block": (NEAR_SINGULAR, 0.042, 2e-4, 1e-2, 200),
+        # 201 steps: the last one is refused
+        "last-step": (NEAR_SINGULAR, 0.0402, 2e-4, 1e-2, 200),
+        # 50 steps, one short block
+        "short-run": (STEEP, 0.5, 0.01, 1e-12, 5),
+        "short-run-untruncated": (NEAR_SINGULAR, 0.03, 1e-3, 1e-2, None),
+        # 300 steps, the last block holds steps 256-299
+        "partial-block-untruncated": (NEAR_SINGULAR, 0.03, 1e-4, 1e-2, None),
+        # 17 * 64 + 43, v1 near-singular
+        "random-3x3": (_cli_random_state(3, 5), 12.0, 0.01, 1e-12, 1131),
+        # Several checks fail at once; the first in the order of the
+        # reasons wins: v0, v1, v2 not finite, then the margins of v0, v1.
+        "v1-not-finite": (_scalar_state(0.0, 2e100, 0.0, 0.0, 0.0),
+                          1.0, 0.01, 1e-12, 0),
+        "v2-not-finite": (_scalar_state(0.0, 0.0, 2e100, 0.0, 0.0),
+                          1.0, 0.01, 1e-12, 0),
+        "v2-below-the-bound": (_scalar_state(0.0, 0.0, 5e99, 0.0, 0.0),
+                               1.0, 0.01, 1e-12, 0),
+        "v1-margin": (_scalar_state(1.0, 0.0, 0.0, 0.0, 0.0),
+                      1.0, 0.01, 1e-12, 0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_a_check_after_every_step(self, case):
+        s0, t_end, h, min_condition, refused = self.CASES[case]
+        steps = round(t_end / h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flow = integrate_symmetric(s0, t_end, h, min_condition)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, reason = per_step_flow(s0, t_end, h, min_condition)
+        assert flow.reason == reason
+        assert flow.truncated == (reason is not None)
+        assert len(flow.states) == len(expected) == (
+            steps + 1 if refused is None else refused + 1)
+        for i, (s, fields) in enumerate(zip(flow.states, expected)):
+            assert s.t == s0.t + i * h
+            for el, ref in zip((s.v0, s.v1, s.v2), fields):
+                assert el.data.tobytes() == ref.data.tobytes()
 
 
 class TestReduction:

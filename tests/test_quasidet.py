@@ -25,6 +25,36 @@ def random_block(rng, n, d, max_condition=1e3):
             return mat
 
 
+class TestBlockArithmetic:
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)],
+                             ids=["unbatched", "batched"])
+    def test_subtraction_is_one_ring_operation_per_entry(
+            self, rng, monkeypatch, shape):
+        def entry():
+            return MatrixElement(rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape))
+
+        zero = MatrixElement.zeros(3)
+        a = BlockMatrix([[entry(), zero], [-zero, entry()]])
+        b = BlockMatrix([[entry(), -zero], [zero, entry()]])
+        expected = a + (-b)
+
+        def no_negation(el):
+            raise AssertionError("a - b negated an entry")
+
+        monkeypatch.setattr(MatrixElement, "__neg__", no_negation)
+        got = a - b
+        for i in range(2):
+            for j in range(2):
+                assert got.entry(i, j).data.tobytes() \
+                    == expected.entry(i, j).data.tobytes()
+
+    def test_subtraction_needs_the_same_shape(self):
+        one = MatrixElement.eye(2)
+        with pytest.raises(ValueError):
+            BlockMatrix([[one, one]]) - BlockMatrix([[one], [one]])
+
+
 class TestBlockInverse:
     def test_identity_of_blocks(self):
         eye = MatrixElement.eye(2)

@@ -170,6 +170,15 @@ class TestRingAxioms:
         assert (a + 3).allclose(a + 3 * a.one_like())
         assert (2 - a).allclose(2 * a.one_like() - a)
 
+    def test_scalar_minus_element_is_one_subtraction(self, monkeypatch):
+        a = MatrixElement(np.array([[0.5, 0.0], [-0.0, 2 - 1j]]))
+        for c in (2, -0.25j, 0.0):
+            expected = (-a) + c * a.one_like()
+            with monkeypatch.context() as m:
+                m.setattr(MatrixElement, "__neg__", None)
+                got = c - a
+            assert got.data.tobytes() == expected.data.tobytes()
+
     def test_power(self, rng):
         a = gaussian_element(rng, 2)
         assert (a ** 3).allclose(a * a * a)
