@@ -6,18 +6,20 @@ by a ``run_*(args)`` function that prints its summary and returns
 writes ``<subcommand>_report.json`` to ``--out``.  The parser checks the
 arguments; input the library rejects raises ``ValueError``.  Exit codes:
 0 success, 1 usage error (bad arguments or input, an unreadable ``--file``
-or an unwritable ``--out``), 2 numerical failure (near-singular data),
-3 truncated flow.  Reports are deterministic for fixed parameters and
-seed apart from the duration field.  ``zc``'s lambda sweep runs on one
-thread unless NCPAIN_THREADS asks for a pool of that many.  A value may
-start with a minus sign (``--z -1:-0.99:0.001``).  A reader closing stdout
-early changes neither the exit code nor the report.
+or an unwritable ``--out``), 2 numerical failure (near-singular data, or a
+``zc`` residual that overflows), 3 truncated flow.  Reports are
+deterministic for fixed parameters and seed apart from the duration field.
+``zc``'s lambda sweep runs on one thread unless NCPAIN_THREADS asks for a
+pool of that many.  A value may start with a minus sign
+(``--z -1:-0.99:0.001``).  A reader closing stdout early changes neither
+the exit code nor the report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -232,13 +234,16 @@ def _zc_case_stats(state: PiiState) -> dict:
     pii = pii_residual_exact(state.v, state.v_zz, state.z, state.C)
     one_minus = res.entry(0, 1) + 1j * pii
     one_plus = res.entry(1, 0) - 1j * pii
-    return {
+    stats = {
         "e11": res.entry(0, 0).norm() / scale,
         "e22": res.entry(1, 1).norm() / scale,
         "e12_identity": one_minus.norm() / scale,
         "e21_identity": one_plus.norm() / scale,
         "full": res.norm() / scale,
     }
+    if not all(map(math.isfinite, (scale, *stats.values()))):
+        raise OverflowError("the residual or its scale is not finite")
+    return stats
 
 
 def run_zero_curvature(args):
@@ -268,8 +273,16 @@ def run_zero_curvature(args):
             cases.append((v, v_z, v_zz, z, c_val))
 
     def sweep(lam):
-        stats = [_zc_case_stats(PiiState(v, v_z, v_zz, z, lam, c_val))
-                 for v, v_z, v_zz, z, c_val in cases]
+        # numpy overflows show in the finiteness check of each case; Python
+        # complex arithmetic (lam ** 2 in build_A) raises OverflowError.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                stats = [_zc_case_stats(PiiState(v, v_z, v_zz, z, lam, c_val))
+                         for v, v_z, v_zz, z, c_val in cases]
+        except OverflowError as exc:
+            raise FloatingPointError(
+                f"zero-curvature check overflows at lambda = {lam}: {exc}"
+            ) from None
         return {key: max(s[key] for s in stats) for key in stats[0]}
 
     per_lambda = _pool_map(sweep, lambdas)
@@ -525,7 +538,7 @@ def main(argv=None) -> int:
         # OSError: an unreadable --file or an unwritable --out
         print(f"usage error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
-    except NearSingularError as exc:
+    except (NearSingularError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         code = EXIT_NUMERICAL
     _print(end="", flush=True)  # a closed pipe shows here, not at exit

@@ -12,16 +12,24 @@ MONITOR_BLOCK = 64  # steps per monitor call
 
 
 def _axpy(y: State, k: State, c: float) -> State:
-    return tuple(yi + c * ki for yi, ki in zip(y, k))
+    c = complex(c)
+    return tuple(yi._add_scaled(c, ki) for yi, ki in zip(y, k))
 
 
 def rk4_step(f: Rhs, t: float, y: State, h: float) -> State:
+    """One classical RK4 step of y' = f(t, y).
+
+    Each stage combination, ``y + c*k`` and ``y + (h/6)(k1 + 2 k2 + 2 k3 +
+    k4)``, is one ring call per state component (``_add_scaled`` and
+    ``_rk4_update``), computing what the operator expression would.
+    """
     k1 = f(t, y)
     k2 = f(t + h / 2, _axpy(y, k1, h / 2))
     k3 = f(t + h / 2, _axpy(y, k2, h / 2))
     k4 = f(t + h, _axpy(y, k3, h))
-    return tuple(yi + (h / 6) * (a + 2 * b + 2 * c + d)
-                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+    c = complex(h / 6)
+    return tuple(yi._rk4_update(c, a, b, cc, d)
+                 for yi, a, b, cc, d in zip(y, k1, k2, k3, k4))
 
 
 def rk4_path(f: Rhs, t0: float, y0: State, h: float, steps: int,

@@ -156,6 +156,22 @@ class TestZeroCurvatureCommand:
     def test_zero_lambda_is_usage_error(self, tmp_path):
         assert run(["zc", "--lambda", "0"], tmp_path) == 1
 
+    @pytest.mark.parametrize("argv, lam", [
+        # |A| |B| overflows, so every relative residual would read 0.
+        (["--lambda", "1", "--C", "1e300"], "(1+0j)"),
+        # lam ** 2 raises OverflowError in Python complex arithmetic.
+        (["--lambda", "1e200"], "(1e+200+0j)"),
+    ])
+    def test_overflow_is_numerical_failure(self, argv, lam, tmp_path,
+                                           capsys):
+        code = run(["zc", "--seed-kind", "rational", *argv], tmp_path)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1 and f"lambda = {lam}" in err
+        assert not (tmp_path / "zc_report.json").exists()
+
 
 class TestDressCommand:
     def test_single_fold_rational(self, tmp_path):

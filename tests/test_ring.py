@@ -4,9 +4,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as hst
 
 from ncpain.grid import GridFunction
+from ncpain.integrators import rk4_step
+from ncpain.moyal import MoyalPolynomial
 from ncpain.ring import (DimensionMismatchError, MatrixElement,
-                         NearSingularError, anticommutator, commutator,
-                         random_invertible)
+                         NearSingularError, RingElement, anticommutator,
+                         commutator, random_invertible)
 
 from conftest import gaussian_element
 
@@ -282,3 +284,90 @@ class TestOwnership:
         grid = GridFunction(0.0, 0.1, batch)
         assert not np.shares_memory(grid[1].data, grid.batch.data)
         assert not np.shares_memory(grid[0:2].data, grid.batch.data)
+
+
+class TestRk4Hooks:
+    """``_add_scaled`` and ``_rk4_update``, the stage combinations of RK4."""
+
+    @staticmethod
+    def _operands(rng):
+        # An unbatched self with signed zeros, batched and unbatched ks.
+        y = MatrixElement(np.array([[0.5, -0.0], [0.0, 2 - 1j]]))
+        ks = [gaussian_element(rng, 2) for _ in range(2)] + [
+            MatrixElement(rng.standard_normal((4, 2, 2))
+                          + 1j * rng.standard_normal((4, 2, 2)))
+            for _ in range(2)]
+        return y, ks
+
+    def test_matrix_hooks_match_the_generic_defaults(self, rng):
+        y, (k1, k2, k3, k4) = self._operands(rng)
+        for c in (0.25, -1e-3j, 0.0):
+            c = complex(c)
+            pairs = (
+                (y._add_scaled(c, k3),
+                 RingElement._add_scaled(y, c, k3)),
+                (y._add_scaled(c, k3), y + c * k3),
+                (y._rk4_update(c, k1, k2, k3, k4),
+                 RingElement._rk4_update(y, c, k1, k2, k3, k4)),
+                (y._rk4_update(c, k1, k2, k3, k4),
+                 y + c * (k1 + 2 * k2 + 2 * k3 + k4)),
+            )
+            for got, expected in pairs:
+                assert got.data.shape == expected.data.shape
+                assert got.data.tobytes() == expected.data.tobytes()
+
+    def test_results_are_read_only_and_own_their_data(self, rng):
+        y, ks = self._operands(rng)
+        for r in (y._add_scaled(0.5j, ks[0]), y._add_scaled(2.0, ks[3]),
+                  y._rk4_update(1e-3 + 0j, *ks)):
+            assert not r.data.flags.writeable
+            with pytest.raises(ValueError):
+                r.data[..., 0, 0] = 0.0
+            for operand in (y, *ks):
+                assert not np.shares_memory(r.data, operand.data)
+
+    def test_mismatched_sizes_raise(self, rng):
+        # A 1x1 operand would broadcast silently against a 3x3 one.
+        small, big = gaussian_element(rng, 1), gaussian_element(rng, 3)
+        with pytest.raises(DimensionMismatchError):
+            big._add_scaled(1j, small)
+        with pytest.raises(DimensionMismatchError):
+            small._add_scaled(1j, big)
+        for k in range(4):
+            ks = [big] * 4
+            ks[k] = small
+            with pytest.raises(DimensionMismatchError):
+                big._rk4_update(0.5 + 0j, *ks)
+        with pytest.raises(DimensionMismatchError):
+            small._rk4_update(0.5 + 0j, big, big, big, big)
+
+    def test_other_backend_raises(self, rng):
+        a, p = gaussian_element(rng, 2), MoyalPolynomial.one(0.1)
+        with pytest.raises(DimensionMismatchError):
+            a._add_scaled(1j, p)
+        with pytest.raises(DimensionMismatchError):
+            a._rk4_update(1j, a, a, p, a)
+
+    def test_rk4_step_over_star_polynomials(self):
+        # MoyalPolynomial keeps the generic hooks: a step gives exactly the
+        # coefficients of the operator form of RK4.
+        def poly(coeffs):
+            return MoyalPolynomial(coeffs, theta=0.3, cap=16)
+
+        def f(t, y):
+            p, q = y
+            return p * q + t, q - 0.5j * p
+
+        y = (poly({(0, 0): 1.0, (1, 0): 0.2 - 0.1j}),
+             poly({(0, 0): -0.3j, (0, 1): 0.7}))
+        t, h = 0.25, 0.1
+        k1 = f(t, y)
+        k2 = f(t + h / 2, tuple(yi + (h / 2) * ki for yi, ki in zip(y, k1)))
+        k3 = f(t + h / 2, tuple(yi + (h / 2) * ki for yi, ki in zip(y, k2)))
+        k4 = f(t + h, tuple(yi + h * ki for yi, ki in zip(y, k3)))
+        expected = tuple(yi + (h / 6) * (a + 2 * b + 2 * c + d)
+                         for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+        got = rk4_step(f, t, y, h)
+        for g, e in zip(got, expected):
+            assert g.coeffs == e.coeffs
+        assert max(m + n for m, n in got[0].coeffs) == 8
