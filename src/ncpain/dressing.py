@@ -99,12 +99,11 @@ def integrate_linear(v: Callable[[float], RingElement], lam,
     lead = MatrixElement.scalars([-factor * 1j * x for x in lams], chi0.d)
     trail = MatrixElement.scalars([factor * 1j * x for x in lams], chi0.d)
 
-    def rhs(z, y):
+    def rhs(z, y, vz):
         chi, phi = y
-        vz = v(z)
         return lead * chi + vz * phi, vz * chi + trail * phi
 
-    states, _ = rk4_path(rhs, z0, (chi0, phi0), h, n - 1)
+    states, _ = rk4_path(rhs, z0, (chi0, phi0), h, n - 1, drive=v)
     # One component at a time, to bound peak memory; y0 is unbatched.
     shape = (len(lams),) + chi0.data.shape
     chi, phi = ([GridFunction(z0, h, MatrixElement(x)) for x in np.stack(

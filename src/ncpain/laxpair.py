@@ -159,9 +159,8 @@ def _block_diag(blocks) -> BlockMatrix:
     size = 2 * len(blocks)
     rows = [[zero] * size for _ in range(size)]
     for b, block in enumerate(blocks):
-        for i in range(2):
-            for j in range(2):
-                rows[2 * b + i][2 * b + j] = block[i][j]
+        for i, row in enumerate(block):
+            rows[2 * b + i][2 * b:2 * b + 2] = row
     return BlockMatrix(rows)
 
 
@@ -250,8 +249,7 @@ def first_integral_drift(states) -> float:
     norms = []
     for lo in range(0, len(states), STENCIL_BLOCK):
         block = states[lo:lo + STENCIL_BLOCK]
-        v0, v1, v2 = (MatrixElement(np.stack([getattr(s, name).data
-                                              for s in block]))
+        v0, v1, v2 = (MatrixElement([getattr(s, name).data for s in block])
                       for name in ("v0", "v1", "v2"))
         t = MatrixElement.scalars([s.t for s in block], v0.d)
         batch = SymState(v0, v1, v2, s0.alpha0, s0.alpha1, t)
@@ -284,9 +282,6 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
     one = s0.v0.one_like()
     a0, a1 = s0.alpha0 * one, s0.alpha1 * one
 
-    def rhs(t, y):
-        return _flow_rhs(*y, a0, a1)
-
     def monitor(times, ys):
         # One batched SVD per block; rows are states, columns v0, v1, v2.
         smin, smax = (a.reshape(-1, 3) for a in MatrixElement(
@@ -307,8 +302,8 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
 
     # Steps computed past a refused state must not warn of their overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        ys, reason = rk4_path(rhs, s0.t, (s0.v0, s0.v1, s0.v2), h, steps,
-                              monitor=monitor)
+        ys, reason = rk4_path(lambda t, y: _flow_rhs(*y, a0, a1), s0.t,
+                              (s0.v0, s0.v1, s0.v2), h, steps, monitor)
     states = [SymState(y[0], y[1], y[2], s0.alpha0, s0.alpha1, s0.t + i * h)
               for i, y in enumerate(ys)]
     return FlowResult(states, reason is not None, reason)

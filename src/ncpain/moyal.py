@@ -150,11 +150,6 @@ class MoyalPolynomial(RingElement):
     def x2(cls, theta: float, cap: int = DEFAULT_CAP):
         return cls({(0, 1): 1.0}, theta, cap)
 
-    @classmethod
-    def monomial(cls, m: int, n: int, coeff: complex, theta: float,
-                 cap: int = DEFAULT_CAP):
-        return cls({(m, n): coeff}, theta, cap)
-
     def degree(self) -> int:
         return max((m + n for m, n in self.coeffs), default=0)
 

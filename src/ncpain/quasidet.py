@@ -12,6 +12,9 @@ below implement.  All indices in this module are 0-based.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from .ring import MatrixElement, NearSingularError, RingElement
@@ -80,16 +83,10 @@ class BlockMatrix:
         if self.m != other.n:
             raise ValueError(f"shape mismatch: {self.n}x{self.m} "
                              f"@ {other.n}x{other.m}")
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(other.m):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for k in range(1, self.m):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return BlockMatrix(out)
+        # Each entry sums its products left to right.
+        return BlockMatrix([[functools.reduce(operator.add, map(
+            operator.mul, row, col)) for col in zip(*other.entries)]
+            for row in self.entries])
 
     def _require_same_shape(self, other):
         if self.n != other.n or self.m != other.m:

@@ -5,11 +5,8 @@ interface, so the same matrix builders and residual checks run unchanged
 over complex numbers, matrix rings, and the star-product polynomials of
 :mod:`ncpain.moyal`.  ``a - b`` goes through ``_sub``, which defaults to
 ``a + (-b)``; ``MatrixElement`` overrides it with one array subtraction.
-RK4's stage combinations go through two more such hooks:
-``y._add_scaled(c, k)`` is ``y + c*k`` and ``y._rk4_update(c, k1, k2, k3,
-k4)`` is ``y + c*(k1 + 2*k2 + 2*k3 + k4)``.  Their defaults chain ``_add``
-and ``_scale``; ``MatrixElement`` overrides each with one array expression
-of the same numpy operations, so results agree bit for bit.
+Each ``MatrixElement`` operation is one numpy operation on ``.data``, which
+lets ``integrators.rk4_path`` replay a recorded RK4 step on bare arrays.
 Elements are immutable values, safe to share across threads: an arithmetic
 result owns a fresh read-only array, and ``eye``/``one_like`` and
 ``zeros``/``zero_like`` hand out one shared identity and zero per size.
@@ -82,17 +79,6 @@ class RingElement(abc.ABC):
     def _sub(self, other: "RingElement") -> "RingElement":
         return self._add(-other)
 
-    def _add_scaled(self, c: complex, other: "RingElement") -> "RingElement":
-        """self + c*other."""
-        return self._add(other._scale(c))
-
-    def _rk4_update(self, c: complex, k1: "RingElement", k2: "RingElement",
-                    k3: "RingElement", k4: "RingElement") -> "RingElement":
-        """self + c*(k1 + 2*k2 + 2*k3 + k4)."""
-        two = 2 + 0j  # complex(2), as 2 * k computes it
-        return self._add_scaled(
-            c, k1._add_scaled(two, k2)._add_scaled(two, k3)._add(k4))
-
     @abc.abstractmethod
     def _scale(self, scalar: complex) -> "RingElement": ...
 
@@ -120,10 +106,8 @@ class RingElement(abc.ABC):
     def singular_extremes(self) -> tuple[float, float]:
         """(smallest, largest) singular-value estimates, for monitors."""
 
-    # Each binary operator tests for its own class before the slower ABC
-    # isinstance: in a flow step nearly every operand is one.
     def __add__(self, other):
-        if other.__class__ is self.__class__ or isinstance(other, RingElement):
+        if isinstance(other, RingElement):
             return self._add(other)
         if isinstance(other, _SCALAR_TYPES):
             return self._add(self.one_like()._scale(complex(other)))
@@ -132,7 +116,7 @@ class RingElement(abc.ABC):
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is self.__class__ or isinstance(other, RingElement):
+        if isinstance(other, RingElement):
             return self._sub(other)
         if isinstance(other, _SCALAR_TYPES):
             return self._add(self.one_like()._scale(-complex(other)))
@@ -144,7 +128,7 @@ class RingElement(abc.ABC):
         return NotImplemented
 
     def __mul__(self, other):
-        if other.__class__ is self.__class__ or isinstance(other, RingElement):
+        if isinstance(other, RingElement):
             return self._mul(other)
         if isinstance(other, _SCALAR_TYPES):
             return self._scale(complex(other))
@@ -220,61 +204,17 @@ class MatrixElement(RingElement):
             raise DimensionMismatchError(
                 f"dimension mismatch: {self.d} vs {other.d}")
 
-    # The hot binary operations check the ring only when the operand is not
-    # plainly a MatrixElement of the same size, and build their result as
-    # _wrap does, without its call.
     def _add(self, other):
-        if other.__class__ is not MatrixElement \
-                or other.data.shape[-1] != self.data.shape[-1]:
-            self._require_same_ring(other)
-        arr = self.data + other.data
-        arr.setflags(write=False)
-        el = _new(MatrixElement)
-        el.data = arr
-        return el
+        self._require_same_ring(other)
+        return _wrap(self.data + other.data)
 
     def _sub(self, other):
-        if other.__class__ is not MatrixElement \
-                or other.data.shape[-1] != self.data.shape[-1]:
-            self._require_same_ring(other)
-        arr = self.data - other.data
-        arr.setflags(write=False)
-        el = _new(MatrixElement)
-        el.data = arr
-        return el
+        self._require_same_ring(other)
+        return _wrap(self.data - other.data)
 
     def _mul(self, other):
-        if other.__class__ is not MatrixElement \
-                or other.data.shape[-1] != self.data.shape[-1]:
-            self._require_same_ring(other)
-        arr = self.data @ other.data
-        arr.setflags(write=False)
-        el = _new(MatrixElement)
-        el.data = arr
-        return el
-
-    def _add_scaled(self, c, other):
-        if other.__class__ is not MatrixElement \
-                or other.data.shape[-1] != self.data.shape[-1]:
-            self._require_same_ring(other)
-        arr = self.data + c * other.data
-        arr.setflags(write=False)
-        el = _new(MatrixElement)
-        el.data = arr
-        return el
-
-    def _rk4_update(self, c, k1, k2, k3, k4):
-        d = self.data.shape[-1]
-        for k in (k1, k2, k3, k4):
-            if k.__class__ is not MatrixElement or k.data.shape[-1] != d:
-                self._require_same_ring(k)
-        two = 2 + 0j  # complex(2), as 2 * k computes it
-        arr = self.data + c * (k1.data + two * k2.data + two * k3.data
-                               + k4.data)
-        arr.setflags(write=False)
-        el = _new(MatrixElement)
-        el.data = arr
-        return el
+        self._require_same_ring(other)
+        return _wrap(self.data @ other.data)
 
     def _scale(self, scalar):
         return _wrap(scalar * self.data)
@@ -336,12 +276,6 @@ class MatrixElement(RingElement):
             smin, smax = smin[k], smax[k]
         return float(smin), float(smax)
 
-    def condition(self) -> float:
-        smin, smax = self.singular_extremes()
-        if smin == 0.0:
-            return float("inf")
-        return smax / smin
-
     def allclose(self, other, rtol=1e-9, atol=1e-12):
         self._require_same_ring(other)
         return bool(np.allclose(self.data, other.data, rtol=rtol, atol=atol))
@@ -352,15 +286,11 @@ class MatrixElement(RingElement):
         return f"MatrixElement({self.data.tolist()})"
 
 
-_new = object.__new__
-
-
 def _wrap(arr: np.ndarray) -> MatrixElement:
-    """The private constructor of ring results (the hot binary operations
-    inline it): ``arr`` is a complex array of shape (d, d) or (n, d, d)
-    that was just computed and that nothing else references, so it is
-    frozen in place, without a copy or a check."""
-    el = _new(MatrixElement)
+    """The private constructor of ring results: ``arr`` is a complex array
+    of shape (d, d) or (n, d, d) that was just computed and that nothing
+    else references, so it is frozen in place, without a copy or a check."""
+    el = object.__new__(MatrixElement)
     arr.setflags(write=False)
     el.data = arr
     return el
@@ -387,5 +317,6 @@ def random_invertible(rng: np.random.Generator, d: int, scale: float = 1.0,
     """Gaussian matrix, resampled until its condition number is moderate."""
     while True:
         m = random_matrix(rng, d, scale)
-        if m.condition() <= max_condition:
+        smin, smax = m.singular_extremes()
+        if smin > 0.0 and smax / smin <= max_condition:
             return m

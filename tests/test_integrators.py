@@ -1,0 +1,215 @@
+import itertools
+
+import numpy as np
+import pytest
+
+from ncpain.dressing import integrate_linear
+from ncpain.integrators import rk4_path, rk4_step
+from ncpain.laxpair import SymState, integrate_symmetric, symmetric_rhs
+from ncpain.moyal import MoyalPolynomial
+from ncpain.ring import DimensionMismatchError, MatrixElement
+
+from conftest import gaussian_element
+
+
+def element_path(f, t0, y0, h, steps):
+    """The path as rk4_step computes it on elements, one step at a time."""
+    states = [y0]
+    for i in range(steps):
+        states.append(rk4_step(f, t0 + i * h, states[-1], h))
+    return states
+
+
+def same_bytes(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        for a, b in zip(g, e, strict=True):
+            assert a.data.shape == b.data.shape
+            assert a.data.tobytes() == b.data.tobytes()
+
+
+def signed_zeros(*pairs):
+    return MatrixElement(np.array([complex(*p) for p in pairs]).reshape(2, 2))
+
+
+class TestRecordRefusesValues:
+    # Each right-hand side reads a value of the recorded state or time.
+    READS = {
+        "inv": lambda t, y: y[0].inv(),
+        "norm": lambda t, y: y[0].norm(),
+        "singular_extremes": lambda t, y: y[0].singular_extremes(),
+        "allclose": lambda t, y: y[0].allclose(y[1]),
+        "one_like": lambda t, y: y[0].one_like(),
+        "zero_like": lambda t, y: y[0].zero_like(),
+        "bool": lambda t, y: bool(y[0]),
+        "eq": lambda t, y: y[0] == y[1],
+        "ne": lambda t, y: y[0] != 0,
+        "lt": lambda t, y: y[0] < 1,
+        "le": lambda t, y: y[0] <= 1,
+        "gt": lambda t, y: 1 > y[0],
+        "ge": lambda t, y: y[0] >= y[1],
+        "scalar-in-sum": lambda t, y: y[0] + 1.5,
+        "scalar-minus": lambda t, y: 2 - y[0],
+        "time-bool": lambda t, y: bool(t),
+        "time-eq": lambda t, y: t == 0.0,
+        "time-lt": lambda t, y: t < 1.0,
+    }
+
+    @pytest.mark.parametrize("read", READS)
+    def test_raises_type_error_at_record_time(self, read, rng):
+        y0 = (gaussian_element(rng, 3), gaussian_element(rng, 3))
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            self.READS[read](t, y)
+            return y
+
+        with pytest.raises(TypeError, match="rk4_path records"):
+            rk4_path(f, 0.0, y0, 0.1, 5, monitor=pytest.fail)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("use", [lambda t, y: float(t),
+                                     lambda t, y: t * y[0],
+                                     lambda t, y: 2.0 * t,
+                                     lambda t, y: y[0] ** 2])
+    def test_other_uses_of_the_time_or_state_raise(self, use, rng):
+        y0 = (gaussian_element(rng, 2),)
+        with pytest.raises(TypeError):
+            rk4_path(lambda t, y: (use(t, y),), 0.0, y0, 0.1, 5)
+
+    def test_the_ring_is_checked_at_record_time(self, rng):
+        y0 = (gaussian_element(rng, 3),)
+        for constant in (gaussian_element(rng, 1), MoyalPolynomial.one(0.1)):
+            for rhs in (lambda t, y: (y[0] * constant,),
+                        lambda t, y: (constant + y[0],)):
+                with pytest.raises(DimensionMismatchError):
+                    rk4_path(rhs, 0.0, y0, 0.1, 5, monitor=pytest.fail)
+
+    def test_the_ring_of_the_drive_is_checked(self, rng):
+        y0 = (gaussian_element(rng, 3),)
+        small = gaussian_element(rng, 1)
+        with pytest.raises(DimensionMismatchError):
+            rk4_path(lambda t, y, u: (u + y[0],), 0.0, y0, 0.1, 5,
+                     drive=lambda t: small)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_integrate_linear_matches_the_element_path(self, d):
+        # Three lambdas: batched lead/trail meet an unbatched initial pair.
+        rng = np.random.default_rng(40 + d)
+        m, n_ = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                 for _ in range(2))
+        init = (gaussian_element(rng, d), gaussian_element(rng, d))
+        lams, z0, h, n = (1j, 0.5 - 2j, -1.25), 1.0, 1e-3, 40
+        seen = {"replay": [], "element": []}
+
+        def seed(log):
+            def v(z):
+                seen[log].append(z)
+                return (1.0 / z) * MatrixElement(m) \
+                    + (z * z) * MatrixElement(n_)
+            return v
+
+        pairs = integrate_linear(seed("replay"), lams, init, z0, h, n)
+
+        lead = MatrixElement.scalars([-2.0 * 1j * x for x in lams], d)
+        trail = MatrixElement.scalars([2.0 * 1j * x for x in lams], d)
+        v = seed("element")
+
+        def rhs(z, y):
+            chi, phi = y
+            vz = v(z)
+            return lead * chi + vz * phi, vz * chi + trail * phi
+
+        expected = element_path(rhs, z0, init, h, n - 1)
+        assert expected[1][0].data.shape == (3, d, d)
+        assert seen["replay"] == seen["element"]
+        assert len(seen["replay"]) == 4 * (n - 1)
+        for j, (chi, phi) in enumerate(pairs):
+            for grid, field in ((chi, 0), (phi, 1)):
+                want = np.stack([np.broadcast_to(s[field].data, (3, d, d))[j]
+                                 for s in expected])
+                assert grid.batch.data.tobytes() == want.tobytes()
+
+    def test_flow_with_signed_zeros(self):
+        y0 = (signed_zeros((0.3, -0.0), (-0.0, 0.0), (0.0, -0.0), (0.2, 0.0)),
+              signed_zeros((1.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.7, -0.0)),
+              signed_zeros((-0.0, 0.0), (0.25, -0.0), (-0.0, 0.0),
+                           (-0.5, 0.0)))
+        alpha0, alpha1, h, steps = complex(0.5, -0.0), complex(-0.0, 1.5), \
+            0.01, 70
+        flow = integrate_symmetric(SymState(*y0, alpha0, alpha1), steps * h,
+                                   h)
+
+        def rhs(t, y):
+            return symmetric_rhs(SymState(*y, alpha0, alpha1, t))
+
+        expected = element_path(rhs, 0.0, y0, h, steps)
+        assert not flow.truncated
+        same_bytes([(s.v0, s.v1, s.v2) for s in flow.states], expected)
+        # The comparison sees signs of zero: some stay negative.
+        last = np.concatenate([el.data.ravel() for el in expected[-1]])
+        parts = np.concatenate([last.real, last.imag])
+        assert np.any((parts == 0) & np.signbit(parts))
+
+    def test_states_are_read_only_and_share_no_buffer(self, rng):
+        y0 = tuple(gaussian_element(rng, 3) for _ in range(3))
+        a = MatrixElement.eye(3)
+        states, _ = rk4_path(lambda t, y: (y[1] * y[2], y[2] - y[0], a + y[1]),
+                             0.0, y0, 0.01, 70)
+        arrays = [el.data for s in states[1:] for el in s]
+        assert len(arrays) == 3 * 70
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+        for x, y in itertools.combinations(arrays + [a.data] + [
+                el.data for el in y0], 2):
+            assert not np.shares_memory(x, y)
+
+
+class TestElementPath:
+    @staticmethod
+    def poly(coeffs):
+        return MoyalPolynomial(coeffs, theta=0.3, cap=16)
+
+    def test_rk4_path_over_star_polynomials(self):
+        # MoyalPolynomial keeps the ring operations: the path gives exactly
+        # the coefficients of the operator form of RK4.
+        a = self.poly({(0, 0): 0.5, (0, 1): 1.0 - 0.25j})
+        ts = []
+
+        def drive(t):
+            ts.append(t)
+            return self.poly({(0, 0): 1.0, (1, 0): t})
+
+        def f(t, y, u):
+            p, q = y
+            return p * u + t, q * a - 0.5j * p
+
+        y = (self.poly({(0, 0): 1.0, (1, 0): 0.2 - 0.1j}),
+             self.poly({(0, 0): -0.3j, (0, 1): 0.7}))
+        t0, h, steps = 0.25, 0.1, 3
+        got, reason = rk4_path(f, t0, y, h, steps, drive=drive)
+        assert reason is None and len(got) == steps + 1
+        expected, times = [y], []
+        for i in range(steps):
+            t = t0 + i * h
+            stage = (t, t + h / 2, t + h / 2, t + h)
+            times += stage
+            y = expected[-1]
+            k1 = f(stage[0], y, drive(stage[0]))
+            k2 = f(stage[1], tuple(yi + (h / 2) * ki for yi, ki in zip(y, k1)),
+                   drive(stage[1]))
+            k3 = f(stage[2], tuple(yi + (h / 2) * ki for yi, ki in zip(y, k2)),
+                   drive(stage[2]))
+            k4 = f(stage[3], tuple(yi + h * ki for yi, ki in zip(y, k3)),
+                   drive(stage[3]))
+            expected.append(tuple(yi + (h / 6) * (a1 + 2 * b + 2 * c + d)
+                                  for yi, a1, b, c, d
+                                  in zip(y, k1, k2, k3, k4)))
+        assert ts == times + times
+        for g, e in zip(got, expected, strict=True):
+            assert [x.coeffs for x in g] == [x.coeffs for x in e]
+        assert max(m + n for m, n in got[-1][0].coeffs) == 13
