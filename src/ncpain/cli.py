@@ -9,10 +9,8 @@ arguments; input the library rejects raises ``ValueError``.  Exit codes:
 or an unwritable ``--out``), 2 numerical failure (near-singular data, or a
 ``zc`` residual that overflows), 3 truncated flow.  Reports are
 deterministic for fixed parameters and seed apart from the duration field.
-``zc``'s lambda sweep runs on one thread unless NCPAIN_THREADS asks for a
-pool of that many.  A value may start with a minus sign
-(``--z -1:-0.99:0.001``).  A reader closing stdout early changes neither
-the exit code nor the report.
+A value may start with a minus sign (``--z -1:-0.99:0.001``).  A reader
+closing stdout early changes neither the exit code nor the report.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -80,24 +77,14 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
+# benchmark/run.py records it; ROADMAP item 5 deletes it.
 def max_workers() -> int:
-    """Worker threads of zc's lambda sweep: NCPAIN_THREADS, by default 1
-    (the sweep holds the GIL, so more threads only add overhead)."""
-    env = os.environ.get("NCPAIN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"NCPAIN_THREADS must be an integer, got {env!r}")
     return 1
 
 
+# benchmark/tracing.py wraps it; ROADMAP item 5 deletes it.
 def _pool_map(fn, items):
-    workers = max_workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def _print(*args, **kwargs):

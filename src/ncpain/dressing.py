@@ -93,7 +93,7 @@ def integrate_linear(v: Callable[[float], RingElement], lam,
     if h > MAX_GRID_STEP:
         raise ValueError(f"grid step {h} too coarse, need h <= {MAX_GRID_STEP}")
     chi0, phi0 = init
-    if chi0.norm() == 0.0 and phi0.norm() == 0.0:
+    if not (chi0.data.any() or phi0.data.any()):  # a norm can underflow
         raise ValueError("initial eigenfunction pair must not be zero")
     lams = [complex(x) for x in np.atleast_1d(lam)]
     lead = MatrixElement.scalars([-factor * 1j * x for x in lams], chi0.d)

@@ -199,12 +199,6 @@ class MoyalPolynomial(RingElement):
     def zero_like(self):
         return MoyalPolynomial.zero(self.theta, self.cap)
 
-    def singular_extremes(self):
-        # Crude estimate for flow monitors: the constant term controls
-        # invertibility of the truncated geometric series.
-        c0 = abs(self.coefficient(0, 0))
-        return c0, max(self.norm(), c0)
-
     def inv(self):
         """Star inverse by geometric series, truncated at the degree cap.
 

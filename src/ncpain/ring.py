@@ -40,8 +40,8 @@ class NearSingularError(ArithmeticError):
 
     ``condition`` carries the estimated condition number (``inf`` for an
     exactly singular operand); for a batched operand it is that of the
-    first refused position.  ``where`` names the pivot block or grid point
-    that failed when the error is raised by a composite computation.
+    first refused position.  A composite computation passes ``where``, the
+    pivot block or grid point that failed; it is appended to the message.
     ``indices`` is the sorted tuple of every refused batch position (the
     grid points to mask), or None when the operand was not batched.
     """
@@ -52,7 +52,6 @@ class NearSingularError(ArithmeticError):
             message = f"{message} [{where}]"
         super().__init__(message)
         self.condition = condition
-        self.where = where
         self.indices = indices
 
     def relabel(self, where: str) -> "NearSingularError":
@@ -101,10 +100,6 @@ class RingElement(abc.ABC):
     @abc.abstractmethod
     def allclose(self, other: "RingElement", rtol: float = 1e-9,
                  atol: float = 1e-12) -> bool: ...
-
-    @abc.abstractmethod
-    def singular_extremes(self) -> tuple[float, float]:
-        """(smallest, largest) singular-value estimates, for monitors."""
 
     def __add__(self, other):
         if isinstance(other, RingElement):

@@ -136,6 +136,22 @@ class TestIntegrateLinear:
         with pytest.raises(ValueError):
             integrate_linear(zero_field, 1j, (zero, zero), 0.0, 1e-3, 10)
 
+    def test_rejects_negative_zero_init(self):
+        zero = MatrixElement(np.full((1, 1), complex(-0.0, -0.0)))
+        with pytest.raises(ValueError):
+            integrate_linear(zero_field, 1j, (zero, zero), 0.0, 1e-3, 10)
+
+    def test_tiny_nonzero_init_is_not_zero(self):
+        # Entries this small square to 0.0 inside a Frobenius norm.
+        tiny = MatrixElement(1e-170 * np.eye(2))
+        chi, phi = integrate_linear(lambda z: MatrixElement.zeros(2), 1j,
+                                    (tiny, tiny), 1.0, 1e-3, 5)
+        # chi' = 2 chi and phi' = -2 phi at lambda = i with v = 0.
+        for grid, rate in ((chi, 2.0), (phi, -2.0)):
+            assert np.allclose(grid[4].data,
+                               1e-170 * np.exp(rate * 4e-3) * np.eye(2),
+                               rtol=1e-9, atol=0.0)
+
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             integrate_linear(zero_field, 1j, (ONE, ONE), 0.0, 0.1, 10)
