@@ -237,7 +237,7 @@ def run_zero_curvature(args):
     lambdas = parse_complex_list(args.lam)
     if not lambdas:
         raise UsageError("--lambda needs at least one value")
-    kind = "rational" if args.seed_kind == "rational" else "random"
+    kind = args.seed_kind
 
     cases = []
     if kind == "rational":
@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_z = sub.add_parser("zc", help="zero-curvature residual checks")
     p_z.add_argument("--seed-kind", default="random",
-                     choices=("rational", "random", "random-placeholders"))
+                     choices=("rational", "random"))
     p_z.add_argument("--d", type=positive_int, default=2)
     p_z.add_argument("--C", default=None)
     p_z.add_argument("--lambda", dest="lam", default="1,i,2-3i")

@@ -99,15 +99,18 @@ def integrate_linear(v: Callable[[float], RingElement], lam,
     lead = MatrixElement.scalars([-factor * 1j * x for x in lams], chi0.d)
     trail = MatrixElement.scalars([factor * 1j * x for x in lams], chi0.d)
 
-    def rhs(z, y, vz):
+    def rhs(z, y):
+        vz = v(z)
+        chi0._require_same_ring(vz)
         chi, phi = y
-        return lead * chi + vz * phi, vz * chi + trail * phi
+        return (lead.data @ chi + vz.data @ phi,
+                vz.data @ chi + trail.data @ phi)
 
-    states, _ = rk4_path(rhs, z0, (chi0, phi0), h, n - 1, drive=v)
+    states, _ = rk4_path(rhs, z0, (chi0.data, phi0.data), h, n - 1)
     # One component at a time, to bound peak memory; y0 is unbatched.
     shape = (len(lams),) + chi0.data.shape
     chi, phi = ([GridFunction(z0, h, MatrixElement(x)) for x in np.stack(
-        [np.broadcast_to(s[i].data, shape) for s in states], axis=1)]
+        [np.broadcast_to(s[i], shape) for s in states], axis=1)]
         for i in (0, 1))
     pairs = list(zip(chi, phi))
     return pairs if np.ndim(lam) else pairs[0]

@@ -28,7 +28,8 @@ import numpy as np
 from .grid import GridFunction, require_stencil_length
 from .integrators import rk4_path
 from .quasidet import BlockMatrix
-from .ring import MatrixElement, NearSingularError, RingElement, anticommutator
+from .ring import (MatrixElement, NearSingularError, RingElement, _wrap,
+                   anticommutator)
 
 NORMALIZED_ALPHA_SUM = 2.0
 # pii_residual_grid works in blocks of this many points to bound its memory.
@@ -198,8 +199,8 @@ def build_P(s: SymState) -> BlockMatrix:
 
 
 def _flow_rhs(v0, v1, v2, a0, a1):
-    # a0, a1: the central elements alpha0 * one and alpha1 * one.
-    return v2 * v0 + v0 * v2 + a0, a1 - (v2 * v1 + v1 * v2), v1 - v0
+    # a0, a1: alpha0 * one and alpha1 * one; all five elements or arrays.
+    return v2 @ v0 + v0 @ v2 + a0, a1 - (v2 @ v1 + v1 @ v2), v1 - v0
 
 
 def symmetric_rhs(s: SymState) -> tuple[RingElement, RingElement, RingElement]:
@@ -280,12 +281,12 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
         raise ValueError("t range is not an integral number of steps")
 
     one = s0.v0.one_like()
-    a0, a1 = s0.alpha0 * one, s0.alpha1 * one
+    a0, a1 = (s0.alpha0 * one).data, (s0.alpha1 * one).data
 
     def monitor(times, ys):
         # One batched SVD per block; rows are states, columns v0, v1, v2.
         smin, smax = (a.reshape(-1, 3) for a in MatrixElement(
-            [el.data for y in ys for el in y]).point_extremes())
+            [x for y in ys for x in y]).point_extremes())
         # Invertibility margin of v0 and v1: the smallest singular value,
         # saturated so tiny well-conditioned scalars are still flagged.
         margin = smin[:, :2] / np.maximum(smax[:, :2], 1.0)
@@ -300,10 +301,12 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
         return i, (f"v{j - 3} is near-singular at t = {times[i]:.6g} "
                    f"(margin {margin[i, j - 3]:.3e})")
 
+    y0 = (s0.v0, s0.v1, s0.v2)
     # Steps computed past a refused state must not warn of their overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         ys, reason = rk4_path(lambda t, y: _flow_rhs(*y, a0, a1), s0.t,
-                              (s0.v0, s0.v1, s0.v2), h, steps, monitor)
+                              tuple(el.data for el in y0), h, steps, monitor)
+    ys = [y0] + [tuple(map(_wrap, y)) for y in ys[1:]]
     states = [SymState(y[0], y[1], y[2], s0.alpha0, s0.alpha1, s0.t + i * h)
               for i, y in enumerate(ys)]
     return FlowResult(states, reason is not None, reason)

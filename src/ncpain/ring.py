@@ -5,8 +5,9 @@ interface, so the same matrix builders and residual checks run unchanged
 over complex numbers, matrix rings, and the star-product polynomials of
 :mod:`ncpain.moyal`.  ``a - b`` goes through ``_sub``, which defaults to
 ``a + (-b)``; ``MatrixElement`` overrides it with one array subtraction.
-Each ``MatrixElement`` operation is one numpy operation on ``.data``, which
-lets ``integrators.rk4_path`` replay a recorded RK4 step on bare arrays.
+Each ``MatrixElement`` operation is one numpy operation on ``.data``, and
+``@`` is the ring product, so a formula spelled with ``+ - scalar* @``
+runs unchanged on the bare arrays; ``integrators`` steps them that way.
 Elements are immutable values, safe to share across threads: an arithmetic
 result owns a fresh read-only array, and ``eye``/``one_like`` and
 ``zeros``/``zero_like`` hand out one shared identity and zero per size.
@@ -64,10 +65,14 @@ class RingElement(abc.ABC):
     """A value in an associative unital ring with a partial inverse.
 
     Python scalars act as central elements: ``2 * a``, ``a * 2j`` and
-    ``a + 3`` (read as ``a + 3 * a.one_like()``) are all defined.
+    ``a + 3`` (read as ``a + 3 * a.one_like()``) are all defined.  ``a @ b``
+    is the ring product ``a * b``, for ring operands only.  A numpy array
+    is not an operand: arithmetic between an array and an element raises
+    TypeError rather than building an object array.
     """
 
     __slots__ = ()
+    __array_ufunc__ = None
 
     @abc.abstractmethod
     def _add(self, other: "RingElement") -> "RingElement": ...
@@ -132,6 +137,11 @@ class RingElement(abc.ABC):
     def __rmul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
             return self._scale(complex(other))
+        return NotImplemented
+
+    def __matmul__(self, other):
+        if isinstance(other, RingElement):
+            return self._mul(other)
         return NotImplemented
 
     def __pow__(self, exponent):

@@ -53,10 +53,11 @@ class TestParsing:
     ["symmetric", "--min-cond", "nan"],
     ["symmetric", "--min-cond", "-1"],
     ["quasidet", "--inline", "[[1e400]]", "--pos", "1", "1"],
+    ["zc", "--seed-kind", "random-placeholders"],
 ], ids=["ragged", "empty", "missing-file", "null-cell", "zc-d0",
         "zc-trials0", "dress-d0", "coarse-grid", "short-grid", "inf-range",
         "overflowing-range", "nan-C", "overflowing-C", "nan-min-cond",
-        "negative-min-cond", "overflowing-cell"])
+        "negative-min-cond", "overflowing-cell", "zc-placeholders"])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a
             for a in argv]

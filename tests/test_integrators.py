@@ -31,53 +31,8 @@ def signed_zeros(*pairs):
     return MatrixElement(np.array([complex(*p) for p in pairs]).reshape(2, 2))
 
 
-class TestRecordRefusesValues:
-    # Each right-hand side reads a value of the recorded state or time.
-    READS = {
-        "inv": lambda t, y: y[0].inv(),
-        "norm": lambda t, y: y[0].norm(),
-        "singular_extremes": lambda t, y: y[0].singular_extremes(),
-        "allclose": lambda t, y: y[0].allclose(y[1]),
-        "one_like": lambda t, y: y[0].one_like(),
-        "zero_like": lambda t, y: y[0].zero_like(),
-        "bool": lambda t, y: bool(y[0]),
-        "eq": lambda t, y: y[0] == y[1],
-        "ne": lambda t, y: y[0] != 0,
-        "lt": lambda t, y: y[0] < 1,
-        "le": lambda t, y: y[0] <= 1,
-        "gt": lambda t, y: 1 > y[0],
-        "ge": lambda t, y: y[0] >= y[1],
-        "scalar-in-sum": lambda t, y: y[0] + 1.5,
-        "scalar-minus": lambda t, y: 2 - y[0],
-        "time-bool": lambda t, y: bool(t),
-        "time-eq": lambda t, y: t == 0.0,
-        "time-lt": lambda t, y: t < 1.0,
-    }
-
-    @pytest.mark.parametrize("read", READS)
-    def test_raises_type_error_at_record_time(self, read, rng):
-        y0 = (gaussian_element(rng, 3), gaussian_element(rng, 3))
-        calls = []
-
-        def f(t, y):
-            calls.append(t)
-            self.READS[read](t, y)
-            return y
-
-        with pytest.raises(TypeError, match="rk4_path records"):
-            rk4_path(f, 0.0, y0, 0.1, 5, monitor=pytest.fail)
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("use", [lambda t, y: float(t),
-                                     lambda t, y: t * y[0],
-                                     lambda t, y: 2.0 * t,
-                                     lambda t, y: y[0] ** 2])
-    def test_other_uses_of_the_time_or_state_raise(self, use, rng):
-        y0 = (gaussian_element(rng, 2),)
-        with pytest.raises(TypeError):
-            rk4_path(lambda t, y: (use(t, y),), 0.0, y0, 0.1, 5)
-
-    def test_the_ring_is_checked_at_record_time(self, rng):
+class TestRingChecks:
+    def test_the_ring_is_checked(self, rng):
         y0 = (gaussian_element(rng, 3),)
         for constant in (gaussian_element(rng, 1), MoyalPolynomial.one(0.1)):
             for rhs in (lambda t, y: (y[0] * constant,),
@@ -85,12 +40,11 @@ class TestRecordRefusesValues:
                 with pytest.raises(DimensionMismatchError):
                     rk4_path(rhs, 0.0, y0, 0.1, 5, monitor=pytest.fail)
 
-    def test_the_ring_of_the_drive_is_checked(self, rng):
-        y0 = (gaussian_element(rng, 3),)
+    def test_integrate_linear_checks_the_ring_of_the_seed(self, rng):
+        init = (gaussian_element(rng, 3), gaussian_element(rng, 3))
         small = gaussian_element(rng, 1)
         with pytest.raises(DimensionMismatchError):
-            rk4_path(lambda t, y, u: (u + y[0],), 0.0, y0, 0.1, 5,
-                     drive=lambda t: small)
+            integrate_linear(lambda z: small, 1j, init, 1.0, 1e-3, 5)
 
 
 class TestReplay:
@@ -184,14 +138,14 @@ class TestElementPath:
             ts.append(t)
             return self.poly({(0, 0): 1.0, (1, 0): t})
 
-        def f(t, y, u):
+        def f(t, y):
             p, q = y
-            return p * u + t, q * a - 0.5j * p
+            return p * drive(t) + t, q * a - 0.5j * p
 
         y = (self.poly({(0, 0): 1.0, (1, 0): 0.2 - 0.1j}),
              self.poly({(0, 0): -0.3j, (0, 1): 0.7}))
         t0, h, steps = 0.25, 0.1, 3
-        got, reason = rk4_path(f, t0, y, h, steps, drive=drive)
+        got, reason = rk4_path(f, t0, y, h, steps)
         assert reason is None and len(got) == steps + 1
         expected, times = [y], []
         for i in range(steps):
@@ -199,13 +153,10 @@ class TestElementPath:
             stage = (t, t + h / 2, t + h / 2, t + h)
             times += stage
             y = expected[-1]
-            k1 = f(stage[0], y, drive(stage[0]))
-            k2 = f(stage[1], tuple(yi + (h / 2) * ki for yi, ki in zip(y, k1)),
-                   drive(stage[1]))
-            k3 = f(stage[2], tuple(yi + (h / 2) * ki for yi, ki in zip(y, k2)),
-                   drive(stage[2]))
-            k4 = f(stage[3], tuple(yi + h * ki for yi, ki in zip(y, k3)),
-                   drive(stage[3]))
+            k1 = f(stage[0], y)
+            k2 = f(stage[1], tuple(yi + (h / 2) * ki for yi, ki in zip(y, k1)))
+            k3 = f(stage[2], tuple(yi + (h / 2) * ki for yi, ki in zip(y, k2)))
+            k4 = f(stage[3], tuple(yi + h * ki for yi, ki in zip(y, k3)))
             expected.append(tuple(yi + (h / 6) * (a1 + 2 * b + 2 * c + d)
                                   for yi, a1, b, c, d
                                   in zip(y, k1, k2, k3, k4)))

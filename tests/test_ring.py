@@ -1,9 +1,12 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as hst
 
 from ncpain.grid import GridFunction
+from ncpain.moyal import MoyalPolynomial
 from ncpain.ring import (DimensionMismatchError, MatrixElement,
                          NearSingularError, anticommutator,
                          commutator, random_invertible)
@@ -183,6 +186,29 @@ class TestRingAxioms:
         a = gaussian_element(rng, 2)
         assert (a ** 3).allclose(a * a * a)
         assert (a ** 0).allclose(a.one_like())
+
+    def test_matmul_is_the_product_and_arrays_are_refused(self, rng):
+        a = MatrixElement(np.stack([gaussian_element(rng, 3).data
+                                    for _ in range(4)]))
+        b = gaussian_element(rng, 3)
+        assert (a @ b).data.tobytes() == (a * b).data.tobytes()
+        p = MoyalPolynomial({(0, 0): 0.5, (1, 0): 1.0 - 0.25j}, theta=0.3)
+        q = MoyalPolynomial({(0, 1): 2.0, (1, 1): 0.5j}, theta=0.3)
+        assert (p @ q).coeffs == (p * q).coeffs
+        for x in (b, p):
+            with pytest.raises(TypeError):
+                x @ 2
+        # An array never meets an element, in either order: no object
+        # array is built.
+        arr = np.ones((3, 3), complex)
+        for op in (operator.add, operator.sub, operator.mul, operator.matmul):
+            for left, right in ((arr, b), (b, arr)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+        for c in (np.float64(2.0), np.complex128(1 - 2j), np.int64(3)):
+            for got in (c * b, b * c):
+                assert isinstance(got, MatrixElement)
+                assert got.data.tobytes() == (complex(c) * b).data.tobytes()
 
 
 class TestBatch:
