@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -28,7 +27,7 @@ import numpy as np
 from .dressing import (CONVENTIONS, DressingChain, SpectralPoint,
                        integrate_linear, masked_iterated, masked_n_fold)
 from .grid import GridFunction
-from .laxpair import (PiiState, SymState, build_A, build_B,
+from .laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A, build_B,
                       first_integral_drift, integrate_symmetric,
                       lax_residual_symmetric, normalize_first_integral,
                       pii_residual_exact, pii_residual_grid, reduction_check,
@@ -214,21 +213,22 @@ def run_quasidet(args):
 # -- zc ----------------------------------------------------------------------
 
 def _zc_case_stats(state: PiiState) -> dict:
+    """Each key's value for every case stacked along the batch axis."""
     res = zero_curvature_residual(state)
     a = build_A(state)
     b = build_B(state.v, state.lam)
-    scale = max(1.0, a.norm() * b.norm())
+    scale = np.fmax(1.0, np.multiply(a.point_norms(), b.point_norms()))
     pii = pii_residual_exact(state.v, state.v_zz, state.z, state.C)
     one_minus = res.entry(0, 1) + 1j * pii
     one_plus = res.entry(1, 0) - 1j * pii
     stats = {
-        "e11": res.entry(0, 0).norm() / scale,
-        "e22": res.entry(1, 1).norm() / scale,
-        "e12_identity": one_minus.norm() / scale,
-        "e21_identity": one_plus.norm() / scale,
-        "full": res.norm() / scale,
+        "e11": res.entry(0, 0).point_norms() / scale,
+        "e22": res.entry(1, 1).point_norms() / scale,
+        "e12_identity": one_minus.point_norms() / scale,
+        "e21_identity": one_plus.point_norms() / scale,
+        "full": res.point_norms() / scale,
     }
-    if not all(map(math.isfinite, (scale, *stats.values()))):
+    if not np.isfinite([scale, *stats.values()]).all():
         raise OverflowError("the residual or its scale is not finite")
     return stats
 
@@ -258,6 +258,12 @@ def run_zero_curvature(args):
                      else complex(rng.standard_normal(),
                                   rng.standard_normal()))
             cases.append((v, v_z, v_zz, z, c_val))
+    # Blocks of cases stacked along the batch axis, z and C one per case.
+    blocks = []
+    for lo in range(0, len(cases), STENCIL_BLOCK):
+        v, v_z, v_zz, z, c_val = zip(*cases[lo:lo + STENCIL_BLOCK])
+        blocks.append([MatrixElement([el.data for el in f])
+                       for f in (v, v_z, v_zz)] + [z, c_val])
 
     def sweep(lam):
         # numpy overflows show in the finiteness check of each case; Python
@@ -265,12 +271,13 @@ def run_zero_curvature(args):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 stats = [_zc_case_stats(PiiState(v, v_z, v_zz, z, lam, c_val))
-                         for v, v_z, v_zz, z, c_val in cases]
+                         for v, v_z, v_zz, z, c_val in blocks]
         except OverflowError as exc:
             raise FloatingPointError(
                 f"zero-curvature check overflows at lambda = {lam}: {exc}"
             ) from None
-        return {key: max(s[key] for s in stats) for key in stats[0]}
+        return {key: float(max(s[key].max() for s in stats))
+                for key in stats[0]}
 
     per_lambda = _pool_map(sweep, lambdas)
     overall = {key: max(p[key] for p in per_lambda)

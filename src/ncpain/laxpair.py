@@ -38,7 +38,8 @@ STENCIL_BLOCK = 512
 
 @dataclass(frozen=True)
 class PiiState:
-    """Field value and derivatives entering the spectral Lax pair."""
+    """Field value and derivatives entering the spectral Lax pair; with
+    batched v, v_z, v_zz, z and C may each hold one number per position."""
 
     v: RingElement
     v_z: RingElement
@@ -72,13 +73,25 @@ def _require_lambda(lam: complex):
         raise ValueError("spectral parameter lambda must be nonzero")
 
 
+def _central(x, one: RingElement, f=complex) -> RingElement:
+    """f(x) * one; for x one number per batch position, each f(item) as a
+    Python number, stacked as central elements.  Elements pass through."""
+    if isinstance(x, RingElement):
+        return x
+    if np.ndim(x):
+        return MatrixElement.scalars([f(item) for item in x], one.d)
+    return f(x) * one
+
+
 def build_A(s: PiiState) -> BlockMatrix:
     """Spectral-equation matrix; trace-free with A22 = -A11."""
     _require_lambda(s.lam)
     one = s.v.one_like()
-    a11 = (8j * s.lam ** 2 - 2j * s.z) * one + 1j * (s.v * s.v)
-    a12 = -1j * s.v_z + (0.25 * s.C / s.lam) * one - (4 * s.lam) * s.v
-    a21 = 1j * s.v_z + (0.25 * s.C / s.lam) * one - (4 * s.lam) * s.v
+    a11 = _central(s.z, one, lambda z: 8j * s.lam ** 2 - 2j * z) \
+        + 1j * (s.v * s.v)
+    c_term = _central(s.C, one, lambda c: 0.25 * c / s.lam)
+    a12 = -1j * s.v_z + c_term - (4 * s.lam) * s.v
+    a21 = 1j * s.v_z + c_term - (4 * s.lam) * s.v
     return BlockMatrix([[a11, a12], [a21, -a11]])
 
 
@@ -122,14 +135,15 @@ def pii_from_zero_curvature(residual: BlockMatrix) -> RingElement:
 
 
 def pii_residual_exact(v: RingElement, v_zz: RingElement, z,
-                       C: complex) -> RingElement:
-    """v_zz - 2 v^3 + 2 [z, v]_+ - C, with z acting as z * one.
+                       C) -> RingElement:
+    """v_zz - 2 v^3 + 2 [z, v]_+ - C, with z and C central.
 
-    ``z`` is a number, or a batched central element holding each point's z.
+    ``z`` and ``C`` are each a number, one number per batch position, or a
+    batched central element holding each point's value.
     """
     one = v.one_like()
-    z_el = z if isinstance(z, RingElement) else complex(z) * one
-    return v_zz - 2 * (v * v * v) + 2 * anticommutator(z_el, v) - C * one
+    return (v_zz - 2 * (v * v * v) + 2 * anticommutator(_central(z, one), v)
+            - _central(C, one))
 
 
 def pii_residual_grid(f: GridFunction, C: complex,

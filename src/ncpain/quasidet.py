@@ -114,6 +114,15 @@ class BlockMatrix:
         return sum(e.norm() ** 2 for row in self.entries
                    for e in row) ** 0.5
 
+    def point_norms(self) -> list[float]:
+        """``norm()`` of each batch position of MatrixElement entries, bit
+        for bit: the same Python float squares (not numpy's), summed in the
+        same order.  Unbatched entries broadcast."""
+        norms = np.broadcast_arrays(*(np.atleast_1d(e.point_norms())
+                                      for row in self.entries for e in row))
+        return [sum(n ** 2 for n in point) ** 0.5
+                for point in zip(*(a.tolist() for a in norms))]
+
     def allclose(self, other, rtol=1e-9, atol=1e-12) -> bool:
         self._require_same_shape(other)
         return all(a.allclose(b, rtol=rtol, atol=atol)

@@ -1,13 +1,19 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ncpain.cli import main, parse_complex, parse_range
+from ncpain import cli
+from ncpain.cli import (build_parser, main, parse_complex, parse_complex_list,
+                        parse_range)
+from ncpain.laxpair import (STENCIL_BLOCK, PiiState, build_A, build_B,
+                            pii_residual_exact, zero_curvature_residual)
 from ncpain.quasidet import BlockMatrix, determinant_ratio
-from ncpain.ring import MatrixElement
+from ncpain.ring import MatrixElement, random_matrix
 
 
 def run(args, tmp_path):
@@ -146,13 +152,13 @@ class TestZeroCurvatureCommand:
         report = load_report(tmp_path, "zc_report.json")
         assert report["results"]["overall"]["full"] <= 1e-12
 
-    def test_random_placeholders(self, tmp_path):
+    def test_random_data(self, tmp_path):
         code = run(["zc", "--seed-kind", "random", "--d", "3"], tmp_path)
         assert code == 0
         report = load_report(tmp_path, "zc_report.json")
         overall = report["results"]["overall"]
-        assert overall["e11"] <= 1e-12
-        assert overall["e12_identity"] <= 1e-12
+        for key in ("e11", "e22", "e12_identity", "e21_identity"):
+            assert overall[key] <= 1e-12
 
     def test_zero_lambda_is_usage_error(self, tmp_path):
         assert run(["zc", "--lambda", "0"], tmp_path) == 1
@@ -172,6 +178,95 @@ class TestZeroCurvatureCommand:
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1 and f"lambda = {lam}" in err
         assert not (tmp_path / "zc_report.json").exists()
+
+
+def _case_stats(s: PiiState) -> dict:
+    res = zero_curvature_residual(s)
+    scale = max(1.0, build_A(s).norm() * build_B(s.v, s.lam).norm())
+    pii = pii_residual_exact(s.v, s.v_zz, s.z, s.C)
+    return {
+        "e11": res.entry(0, 0).norm() / scale,
+        "e22": res.entry(1, 1).norm() / scale,
+        "e12_identity": (res.entry(0, 1) + 1j * pii).norm() / scale,
+        "e21_identity": (res.entry(1, 0) - 1j * pii).norm() / scale,
+        "full": res.norm() / scale,
+    }
+
+
+def per_case_zc(argv) -> list:
+    """zc's per-lambda results from one evaluation per case and lambda,
+    with the cases drawn in zc's order."""
+    args = build_parser().parse_args(["zc", *argv])
+    cases = []
+    if args.seed_kind == "rational":
+        sign = args.rational_sign
+        c_val = parse_complex(args.C) if args.C is not None else 4.0 * sign
+        eye = MatrixElement.eye(args.d)
+        for z in np.linspace(1.0, 2.0, 9):
+            cases.append(PiiState((sign / z) * eye, (-sign / z ** 2) * eye,
+                                  (2 * sign / z ** 3) * eye, complex(z),
+                                  None, c_val))
+    else:
+        rng = np.random.default_rng(args.seed)
+        for _ in range(args.trials):
+            v, v_z, v_zz = (random_matrix(rng, args.d) for _ in range(3))
+            z = complex(rng.standard_normal(), rng.standard_normal())
+            c_val = (parse_complex(args.C) if args.C is not None
+                     else complex(rng.standard_normal(),
+                                  rng.standard_normal()))
+            cases.append(PiiState(v, v_z, v_zz, z, None, c_val))
+    per_lambda = []
+    for lam in parse_complex_list(args.lam):
+        stats = [_case_stats(dataclasses.replace(c, lam=lam)) for c in cases]
+        per_lambda.append({"lambda": lam, **{key: max(s[key] for s in stats)
+                                             for key in stats[0]}})
+    return per_lambda
+
+
+def _bits(per_lambda) -> list:
+    return [{key: x.hex() if isinstance(x, float) else x
+             for key, x in row.items()} for row in per_lambda]
+
+
+LAMBDAS_ZC = "1,i,2-3i,1e-3,1e3"
+
+
+class TestZeroCurvatureBatch:
+    """zc evaluates its cases in batches; each statistic must be the one a
+    per-case evaluation gives, bit for bit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--d", "1", "--seed", "0"], ["--d", "1", "--seed", "1"],
+        ["--d", "2", "--seed", "2"], ["--d", "2", "--seed", "3"],
+        ["--d", "3", "--seed", "4"], ["--d", "3", "--seed", "5"],
+        ["--d", "2", "--seed", "6", "--C", "2-1j"],
+        ["--seed-kind", "rational", "--d", "1"],
+        ["--seed-kind", "rational", "--d", "3", "--rational-sign", "-1"],
+        ["--seed-kind", "rational", "--d", "2", "--rational-sign", "-1",
+         "--C", "2-1j"],
+    ], ids=["d1-s0", "d1-s1", "d2-s2", "d2-s3", "d3-s4", "d3-s5", "fixed-C",
+            "rational", "rational-neg", "rational-neg-fixed-C"])
+    def test_matches_per_case_evaluation(self, argv, capsys):
+        argv = argv + ["--lambda", LAMBDAS_ZC]
+        args = build_parser().parse_args(["zc", *argv])
+        _, results, _, code = args.run(args)
+        assert code == 0
+        assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
+
+    def test_cases_spanning_two_blocks(self, capsys):
+        argv = ["--d", "1", "--trials", str(STENCIL_BLOCK + 20),
+                "--lambda", "1,1e3"]
+        args = build_parser().parse_args(["zc", *argv])
+        _, results, _, _ = args.run(args)
+        assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
+
+    def test_small_blocks_with_a_single_case_block(self, monkeypatch,
+                                                   capsys):
+        monkeypatch.setattr(cli, "STENCIL_BLOCK", 2)
+        argv = ["--d", "2", "--trials", "5", "--lambda", LAMBDAS_ZC]
+        args = build_parser().parse_args(["zc", *argv])
+        _, results, _, _ = args.run(args)
+        assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
 
 
 class TestDressCommand:

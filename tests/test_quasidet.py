@@ -49,6 +49,40 @@ class TestBlockArithmetic:
                 assert got.entry(i, j).data.tobytes() \
                     == expected.entry(i, j).data.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_point_norms_are_the_norm_of_each_position(self, rng, d):
+        # Nine random positions: every third scaled past 1e154, where the
+        # entry norms overflow, and every third near it, where the sum of
+        # their squares may overflow.
+        scales = np.resize([1.0, 1e160, 1e153], 9)[:, None, None]
+        # Then 20 positions whose entries have norms x with x ** 2 != x * x,
+        # so only norm()'s own Python squares give its bits.
+        xs = rng.standard_normal(200_000).tolist()
+        awkward = np.array([x for x in xs if x ** 2 != x * x][:60])
+        assert len(awkward) == 60
+        corner = np.zeros((d, d))
+        corner[0, 0] = 1.0
+
+        def batch(size, norms):
+            noise = (rng.standard_normal((9, d, d))
+                     + 1j * rng.standard_normal((9, d, d)))
+            return MatrixElement(np.concatenate(
+                [scales * size * noise, norms[:, None, None] * corner]))
+
+        one = MatrixElement.eye(d)
+        lam = 1e-3 * (2 - 3j)  # small, so it does not swamp the others
+        m = BlockMatrix([[(-2j * lam) * one, batch(1.0, awkward[0::3])],
+                         [batch(3.0, awkward[1::3]),
+                          batch(1e-3, awkward[2::3])]])
+        with np.errstate(over="ignore"):
+            got = m.point_norms()
+            expected = [BlockMatrix([[
+                MatrixElement(e.data[k]) if e.data.ndim == 3 else e
+                for e in row] for row in m.entries]).norm()
+                for k in range(29)]
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+        assert all(np.isfinite(got[0:9:3])) and np.isinf(got[1:9:3]).all()
+
     def test_subtraction_needs_the_same_shape(self):
         one = MatrixElement.eye(2)
         with pytest.raises(ValueError):
