@@ -2,7 +2,7 @@
 
 Subcommands: ``quasidet``, ``zc``, ``dress``, ``symmetric``.  Each is run
 by a ``run_*(args)`` function that prints its summary and returns
-``(parameters, results, conventions, exit_code)``; ``main`` times it and
+``(parameters, results, exit_code)``; ``main`` times it and
 writes ``<subcommand>_report.json`` to ``--out``.  The parser checks the
 arguments; input the library rejects raises ``ValueError``.  Exit codes:
 0 success, 1 usage error (bad arguments or input, an unreadable ``--file``
@@ -24,8 +24,8 @@ import time
 
 import numpy as np
 
-from .dressing import (CONVENTIONS, DressingChain, SpectralPoint,
-                       integrate_linear, masked_iterated, masked_n_fold)
+from .dressing import (DressingChain, SpectralPoint, integrate_linear,
+                       masked_iterated, masked_n_fold)
 from .grid import GridFunction
 from .laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A, build_B,
                       first_integral_drift, integrate_symmetric,
@@ -207,7 +207,7 @@ def run_quasidet(args):
         "discrepancy_abs": diff,
         "discrepancy_rel": rel,
     }
-    return parameters, results, {}, EXIT_OK
+    return parameters, results, EXIT_OK
 
 
 # -- zc ----------------------------------------------------------------------
@@ -300,7 +300,7 @@ def run_zero_curvature(args):
                        for lam, stats in zip(lambdas, per_lambda)],
         "overall": overall,
     }
-    return parameters, results, {}, EXIT_OK
+    return parameters, results, EXIT_OK
 
 
 # -- dress --------------------------------------------------------------------
@@ -335,8 +335,8 @@ def run_dressing(args):
 
     seed_grid = GridFunction.sample(seed_fn, z0, h, n)
     one = seed_grid[0].one_like()
-    pairs = integrate_linear(seed_fn, gammas, (one, one), z0, h, n,
-                             convention=args.dt_convention) if gammas else []
+    pairs = (integrate_linear(seed_fn, gammas, (one, one), z0, h, n)
+             if gammas else [])
     points = [SpectralPoint(g, chi, phi)
               for g, (chi, phi) in zip(gammas, pairs)]
     chain = DressingChain(tuple(points), seed_grid)
@@ -366,28 +366,37 @@ def run_dressing(args):
     parameters = {
         "N": args.N, "gammas": gammas, "seed_kind": args.seed,
         "C": c_val, "z0": z0, "h": h, "points": n, "d": args.d,
-        "dt_convention": args.dt_convention,
     }
     results = {
         "stages": stage_stats,
         "quasidet_vs_direct": discrepancy,
     }
-    return (parameters, results, {"dt_convention": args.dt_convention},
-            EXIT_OK)
+    return parameters, results, EXIT_OK
 
 
 # -- symmetric ----------------------------------------------------------------
 
+FIELD_DEFAULTS = {"v0": "0.1", "v1": "1", "v2": "0.3"}
+
+
 def run_symmetric(args):
     t0, h, n = parse_range(args.t)
+    given = {k: getattr(args, k) for k in FIELD_DEFAULTS
+             if getattr(args, k) is not None}
+    if args.random_matrix is not None and given:
+        raise UsageError("--random-matrix draws v0, v1 and v2; "
+                         f"drop --{next(iter(given))}")
+    if args.normalize and "v1" in given:
+        raise UsageError("--normalize sets v1 from the first integral; "
+                         "drop --v1")
     if args.random_matrix is not None:
         d = args.random_matrix
         rng = np.random.default_rng(args.seed)
         v0, v1, v2 = (random_invertible(rng, d, scale=0.5) for _ in range(3))
         data_desc = {"kind": "random", "d": d, "seed": args.seed}
     else:
-        fields = {k: parse_complex(getattr(args, k))
-                  for k in ("v0", "v1", "v2")}
+        fields = {k: parse_complex(given.get(k, default))
+                  for k, default in FIELD_DEFAULTS.items()}
         v0, v1, v2 = (MatrixElement.scalar(x) for x in fields.values())
         data_desc = {"kind": "scalar", **fields}
     alpha0 = parse_complex(args.alpha0)
@@ -449,8 +458,7 @@ def run_symmetric(args):
         "first_integral_drift": drift,
         "reduction": reduction,
     }
-    return (parameters, results, {},
-            EXIT_TRUNCATED if flow.truncated else EXIT_OK)
+    return parameters, results, EXIT_TRUNCATED if flow.truncated else EXIT_OK
 
 
 # -- parser -------------------------------------------------------------------
@@ -495,14 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_d.add_argument("--C", default="4")
     p_d.add_argument("--z", default="1:2:0.001", help="grid start:stop:step")
     p_d.add_argument("--d", type=positive_int, default=1)
-    p_d.add_argument("--dt-convention", default="b-matrix",
-                     choices=CONVENTIONS)
     p_d.set_defaults(run=run_dressing, experiment="dressing")
 
     p_s = sub.add_parser("symmetric", help="symmetric three-field flow")
-    p_s.add_argument("--v0", default="0.1")
-    p_s.add_argument("--v1", default="1")
-    p_s.add_argument("--v2", default="0.3")
+    for k, default in FIELD_DEFAULTS.items():
+        p_s.add_argument(f"--{k}", help=f"scalar value (default {default})")
     p_s.add_argument("--random-matrix", type=positive_int,
                      help="use random d x d matrix data")
     p_s.add_argument("--alpha0", default="0.5")
@@ -524,9 +529,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         t_start = time.perf_counter()
-        parameters, results, conventions, code = args.run(args)
+        parameters, results, code = args.run(args)
         ExperimentReport(args.experiment, parameters, results,
-                         time.perf_counter() - t_start, conventions
+                         time.perf_counter() - t_start
                          ).write(args.out, f"{args.command}_report.json")
     except (ValueError, OSError) as exc:
         # OSError: an unreadable --file or an unwritable --out

@@ -33,12 +33,6 @@ from .integrators import rk4_path
 from .quasidet import BlockMatrix, quasideterminant
 from .ring import MatrixElement, NearSingularError, RingElement
 
-CONVENTIONS = ("b-matrix", "d7")
-
-# z-equation diagonal factor: -2i*lambda for the b-matrix convention,
-# -i*lambda under the alternative "d7" convention kept for side-by-side runs.
-_FACTORS = {"b-matrix": 2.0, "d7": 1.0}
-
 MAX_GRID_STEP = 1e-2
 
 
@@ -74,11 +68,12 @@ class DressingChain:
 
 def integrate_linear(v: Callable[[float], RingElement], lam,
                      init: tuple[RingElement, RingElement], z0: float,
-                     h: float, n: int, convention: str = "b-matrix"):
+                     h: float, n: int):
     """RK4 integration of the eigenfunction pair along z.
 
     ``v`` evaluates the seed solution at any z; the n grid points run from
-    z0 in steps of h.  Under the default convention the system is
+    z0 in steps of h.  The system is Psi_z = B Psi with Psi = (chi, phi)
+    and B = ``laxpair.build_B(v, lam)``:
 
         chi' = -2i lam chi + v phi,   phi' = v chi + 2i lam phi.
 
@@ -87,17 +82,14 @@ def integrate_linear(v: Callable[[float], RingElement], lam,
     are integrated as one stacked system: lambda enters as a batched
     diagonal element with one position per parameter.
     """
-    if convention not in _FACTORS:
-        raise ValueError(f"unknown convention {convention!r}")
-    factor = _FACTORS[convention]
     if h > MAX_GRID_STEP:
         raise ValueError(f"grid step {h} too coarse, need h <= {MAX_GRID_STEP}")
     chi0, phi0 = init
     if not (chi0.data.any() or phi0.data.any()):  # a norm can underflow
         raise ValueError("initial eigenfunction pair must not be zero")
     lams = [complex(x) for x in np.atleast_1d(lam)]
-    lead = MatrixElement.scalars([-factor * 1j * x for x in lams], chi0.d)
-    trail = MatrixElement.scalars([factor * 1j * x for x in lams], chi0.d)
+    lead = MatrixElement.scalars([-2.0 * 1j * x for x in lams], chi0.d)
+    trail = MatrixElement.scalars([2.0 * 1j * x for x in lams], chi0.d)
 
     def rhs(z, y):
         vz = v(z)
@@ -174,8 +166,7 @@ def _weight_matrix(points: Sequence[SpectralPoint], n: int,
                         for r in range(n + 1)])
 
 
-def quasidet_eigenfunctions(points: Sequence[SpectralPoint],
-                            n: int | None = None
+def quasidet_eigenfunctions(points: Sequence[SpectralPoint], n: int
                             ) -> tuple[GridFunction, GridFunction]:
     """n-fold transformed eigenfunctions of points[0] via quasideterminants.
 
@@ -185,8 +176,6 @@ def quasidet_eigenfunctions(points: Sequence[SpectralPoint],
     returns the raw pair; n = 1 reproduces dt_eigenfunctions exactly.
     """
     points = list(points)
-    if n is None:
-        n = len(points) - 1
     if len(points) < n + 1:
         raise ValueError(f"need {n + 1} spectral points, got {len(points)}")
     target = points[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,8 @@ BASE_CONVENTIONS = {
                       "of the matrix inverse; positions are 1-based on the "
                       "command line and 0-based in the library",
     "gamma_identified_with_lambda": True,
-    "linear_system_factor": "b-matrix: chi' = -2i*lambda*chi + v*phi "
-                            "(the d7 convention drops the factor 2)",
+    "linear_system_factor": "chi' = -2i*lambda*chi + v*phi, the z-equation "
+                            "of the zero-curvature B matrix",
     "reduction_normalization": "first integral = 0, alpha0 + alpha1 = 2, "
                                "C = alpha1 - alpha0, z = t",
     "moyal_inverse": "geometric series truncated at the degree cap "
@@ -40,16 +40,13 @@ class ExperimentReport:
     parameters: dict
     results: dict
     duration_s: float
-    conventions: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        conventions = dict(BASE_CONVENTIONS)
-        conventions.update(self.conventions)
         return {
             "experiment": self.experiment,
             "version": __version__,
             "parameters": jsonify(self.parameters),
-            "conventions": jsonify(conventions),
+            "conventions": jsonify(BASE_CONVENTIONS),
             "results": jsonify(self.results),
             "duration_s": self.duration_s,
         }

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -60,10 +62,19 @@ class TestParsing:
     ["symmetric", "--min-cond", "-1"],
     ["quasidet", "--inline", "[[1e400]]", "--pos", "1", "1"],
     ["zc", "--seed-kind", "random-placeholders"],
+    ["dress", "--N", "0", "--z", "1:1.1:0.001", "--dt-convention", "b-matrix"],
+    # Inputs the run would ignore while its report records them.
+    ["symmetric", "--v1", "7", "--normalize"],
+    ["symmetric", "--v1", "1", "--normalize", "--t", "0:0.1:0.001"],
+    ["symmetric", "--random-matrix", "2", "--v0", "0.1"],
+    ["symmetric", "--random-matrix", "2", "--v1", "1"],
+    ["symmetric", "--random-matrix", "2", "--v2", "0.3", "--normalize"],
 ], ids=["ragged", "empty", "missing-file", "null-cell", "zc-d0",
         "zc-trials0", "dress-d0", "coarse-grid", "short-grid", "inf-range",
         "overflowing-range", "nan-C", "overflowing-C", "nan-min-cond",
-        "negative-min-cond", "overflowing-cell", "zc-placeholders"])
+        "negative-min-cond", "overflowing-cell", "zc-placeholders",
+        "dt-convention", "normalize-v1", "normalize-default-v1",
+        "random-matrix-v0", "random-matrix-v1", "random-matrix-v2"])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a
             for a in argv]
@@ -249,7 +260,7 @@ class TestZeroCurvatureBatch:
     def test_matches_per_case_evaluation(self, argv, capsys):
         argv = argv + ["--lambda", LAMBDAS_ZC]
         args = build_parser().parse_args(["zc", *argv])
-        _, results, _, code = args.run(args)
+        _, results, code = args.run(args)
         assert code == 0
         assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
 
@@ -257,7 +268,7 @@ class TestZeroCurvatureBatch:
         argv = ["--d", "1", "--trials", str(STENCIL_BLOCK + 20),
                 "--lambda", "1,1e3"]
         args = build_parser().parse_args(["zc", *argv])
-        _, results, _, _ = args.run(args)
+        _, results, _ = args.run(args)
         assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
 
     def test_small_blocks_with_a_single_case_block(self, monkeypatch,
@@ -265,7 +276,7 @@ class TestZeroCurvatureBatch:
         monkeypatch.setattr(cli, "STENCIL_BLOCK", 2)
         argv = ["--d", "2", "--trials", "5", "--lambda", LAMBDAS_ZC]
         args = build_parser().parse_args(["zc", *argv])
-        _, results, _, _ = args.run(args)
+        _, results, _ = args.run(args)
         assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
 
 
@@ -362,6 +373,24 @@ class TestSymmetricCommand:
         code = run(["symmetric", "--alpha0", "0", "--alpha1", "0",
                     "--normalize", "--t", "0:0.1:0.001"], tmp_path)
         assert code == 1
+
+
+def readme_commands() -> list:
+    """Each ``ncpain ...`` line of the README's "Command line" sh block,
+    backslash continuations joined, as an argv without the program name."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("ncpain ")]
+    assert commands, "no ncpain example found in the README"
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands())
+def test_readme_command_line_examples_run(argv, tmp_path, capsys):
+    assert run(argv, tmp_path) == 0
 
 
 class TestDeterminism:

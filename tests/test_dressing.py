@@ -4,6 +4,7 @@ import pytest
 from ncpain.ring import MatrixElement, NearSingularError
 from ncpain.quasidet import BlockMatrix, determinant_ratio, quasideterminant
 from ncpain.grid import GridFunction
+from ncpain.laxpair import build_B
 from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
                              dt_eigenfunctions, integrate_linear,
                              iterated_darboux, masked_iterated, masked_n_fold,
@@ -59,12 +60,36 @@ class TestIntegrateLinear:
                         abs(phi[k].data[0, 0] - np.exp(2j * lam * z)))
         assert worst <= 1e-9
 
-    def test_d7_convention_drops_factor_two(self):
-        lam = 0.7j
-        chi, _ = integrate_linear(zero_field, lam, (ONE, ONE),
-                                  0.0, 1e-3, 501, convention="d7")
-        z = chi.z(500)
-        assert abs(chi[500].data[0, 0] - np.exp(-1j * lam * z)) <= 1e-9
+    def test_pairs_solve_the_b_matrix_z_equation(self):
+        # Psi = (chi, phi) must satisfy Psi_z = build_B(v(z), gamma) Psi.
+        # Centred differences of the grids leave an O(h^2) residual; any
+        # other diagonal factor would leave an O(1) one.
+        rng = np.random.default_rng(5)
+        m1, m2 = (gaussian_element(rng, 2, 0.5) for _ in range(2))
+
+        def v(z):
+            return (1.0 / z) * m1 + z * m2
+
+        gammas = (1j, 0.5 - 0.3j)
+        one = MatrixElement.eye(2)
+
+        def worst_residual(h):
+            n = round(0.2 / h) + 1
+            pairs = integrate_linear(v, gammas, (one, one), 1.0, h, n)
+            worst = 0.0
+            for gamma, (chi, phi) in zip(gammas, pairs):
+                for k in range(1, n - 1):
+                    b = build_B(v(chi.z(k)), gamma)
+                    for row, f in enumerate((chi, phi)):
+                        rhs = (b.entry(row, 0) * chi[k]
+                               + b.entry(row, 1) * phi[k])
+                        lhs = (f[k + 1] - f[k - 1]) * (0.5 / h)
+                        worst = max(worst, (lhs - rhs).norm())
+            return worst
+
+        coarse, fine = worst_residual(2e-3), worst_residual(1e-3)
+        assert fine <= 1e-3
+        assert 3.5 <= coarse / fine <= 4.5
 
     def test_fourth_order_convergence(self):
         lam = 1j
