@@ -406,6 +406,7 @@ def run_symmetric(args):
         if abs(alpha0 + alpha1 - 2.0) > 1e-12:
             raise UsageError("--normalize requires alpha0 + alpha1 = 2")
         state = normalize_first_integral(state)
+        data_desc["v1"] = _matrix_value(state.v1)
 
     flow = integrate_symmetric(state, t0 + (n - 1) * h, h,
                                min_condition=args.min_cond)

@@ -129,11 +129,6 @@ def zero_curvature_residual(s: PiiState) -> BlockMatrix:
     return (_build_A_z(s) - _build_B_lambda(s.v)) - (b @ a - a @ b)
 
 
-def pii_from_zero_curvature(residual: BlockMatrix) -> RingElement:
-    """Extract the equation residual from entry (0, 1) of the curvature."""
-    return 1j * residual.entry(0, 1)
-
-
 def pii_residual_exact(v: RingElement, v_zz: RingElement, z,
                        C) -> RingElement:
     """v_zz - 2 v^3 + 2 [z, v]_+ - C, with z and C central.

@@ -5,7 +5,7 @@ The product is the full bidifferential series
     f * g = sum_(a,b) (i*theta/2)^(a+b) (-1)^b / (a! b!) *
             (d1^a d2^b f) (d2^a d1^b g)
 
-which terminates on polynomials.  One generator lists its terms and two
+which terminates on polynomials.  One table lists its term weights and two
 summations consume them.  A product of exact operands is exact: it is
 summed in dict arithmetic, term by term and within a term over f's
 coefficients, then g's, in insertion order.  Terms that cancel cancel
@@ -16,15 +16,17 @@ summed in that order.
 ``inv`` is approximate: it sums a geometric series truncated at the degree
 cap and is labelled as such in CLI reports.  Products that touch an
 approximate operand, and every term of that series, are truncated at the
-cap and summed as 2-D convolutions of dense coefficient arrays through one
-FFT.  Their rounding is absolute: about eps*|f||g| per coefficient while
-the series terms stay near |f||g| (theta times the degree small), so a
-coefficient that should be zero may read about 1e-17.  Large series terms
-set a larger scale.
+cap and summed as 2-D convolutions of dense coefficient arrays through the
+FFT: one batched transform of each operand per derivative order a, covering
+every term (a, b) of that order, and one inverse transform.  Their rounding
+is absolute: about eps*|f||g| per coefficient while the series terms stay
+near |f||g| (theta times the degree small), so a coefficient that should be
+zero may read about 1e-17.  Large series terms set a larger scale.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial, hypot, perm
 
 import numpy as np
@@ -41,13 +43,12 @@ class DegreeOverflowError(ValueError):
     """An exact product would exceed the configured degree cap."""
 
 
-def _terms(f: MoyalPolynomial, g: MoyalPolynomial):
-    """(a, b, weight) of each term weight (d1^a d2^b f)(d2^a d1^b g)."""
+def _weights(f: MoyalPolynomial, g: MoyalPolynomial) -> list:
+    """w[a][b] of each term w (d1^a d2^b f)(d2^a d1^b g), a + b <= kmax."""
     kmax = 0 if f.theta == 0.0 else min(f.degree(), g.degree())
-    for a in range(kmax + 1):
-        for b in range(kmax + 1 - a):
-            yield a, b, (0.5j * f.theta) ** (a + b) * (-1) ** b \
-                / (factorial(a) * factorial(b))
+    return [[(0.5j * f.theta) ** (a + b) * (-1) ** b
+             / (factorial(a) * factorial(b)) for b in range(kmax + 1 - a)]
+            for a in range(kmax + 1)]
 
 
 def _deriv(coeffs: dict, a: int, b: int) -> list:
@@ -64,34 +65,58 @@ def _dense(p: MoyalPolynomial) -> np.ndarray:
     return a
 
 
-def _falling(size: int) -> np.ndarray:
-    """w[k, p] = p (p-1) ... (p-k+1): the weight that d^k puts on x^p."""
-    p = np.arange(size, dtype=float)
-    w = np.ones((size, size))
-    for k in range(1, size):
-        w[k] = w[k - 1] * (p - k + 1)
-    return w
+@cache
+def _shifts(size: int) -> tuple:
+    """Gather tables that apply d^k for every k at once: x^(k+j) -> x^j.
+
+    ``index[k, j] = k + j`` (clamped to the array) and ``weight[k, j] =
+    (k+j)! / j!`` is the weight that d^k puts on x^(k+j), zero where k + j
+    runs off the end, so ``v[index[:n]] * weight[:n]`` stacks d^0 v ..
+    d^(n-1) v of a coefficient vector v, each padded to its length.
+    """
+    k, j = np.indices((size, size))
+    weight = np.ones((size, size))
+    for row in range(1, size):
+        weight[row] = weight[row - 1] * (j[0] + row)
+    weight[k + j >= size] = 0.0
+    index = np.minimum(k + j, size - 1)
+    index.flags.writeable = weight.flags.writeable = False
+    return index, weight
 
 
 def _star_dense(f: MoyalPolynomial, g: MoyalPolynomial) -> dict:
     """Star product of f and g cropped to the cap triangle, through the FFT.
 
-    For each term of :func:`_terms` both derivatives are shifted slices of
-    the dense arrays times falling-factorial weights.  The products of their
-    transforms are summed and inverted once.  Transforms of side
-    deg f + deg g + 1 hold the whole linear convolution, so nothing wraps.
+    One pass per d1-order a.  The transform along the axis that d1^a acts
+    on is shared by every d2-order b: for f, d1^a F is transformed along
+    axis 0 once, and the d2^b shifts of its columns for every b are
+    gathered into one stack and transformed along axis 1 in one batched
+    call; g likewise with the axes swapped, its stack carrying the term
+    weights.  The sum over b of the stacks' products is accumulated, and
+    inverted once at the end: 4 (kmax + 1) + 1 calls into numpy.fft.
+    Transforms of side deg f + deg g + 1 hold the whole linear
+    convolution, so nothing wraps.
     """
     F, G = _dense(f), _dense(g)
-    shape = (len(F) + len(G) - 1,) * 2
-    wf, wg = _falling(len(F)), _falling(len(G))
-    acc = np.zeros(shape, dtype=complex)
-    for a, b, weight in _terms(f, g):
-        df = F[a:, b:] * np.outer(weight * wf[a, a:], wf[b, b:])
-        dg = G[b:, a:] * np.outer(wg[b, b:], wg[a, a:])
-        acc += np.fft.fft2(df, shape) * np.fft.fft2(dg, shape)
-    rows = np.fft.ifft2(acc).tolist()
-    top = min(f.cap, shape[0] - 1)
-    return {(m, n): rows[m][n]
+    size = len(F) + len(G) - 1
+    (index_f, shift_f), (index_g, shift_g) = _shifts(len(F)), _shifts(len(G))
+    acc = np.zeros((size, size), dtype=complex)
+    for a, weights in enumerate(_weights(f, g)):
+        nb = len(weights)
+        cols = np.fft.fft(F[index_f[a]] * shift_f[a, :, None], size, axis=0)
+        rows = np.fft.fft(G[:, index_g[a]] * shift_g[a], size, axis=1)
+        # stack_f[k, b, l] and stack_g[b, k, l]: transforms of d1^a d2^b F
+        # and of weight * d2^a d1^b G at frequency (k, l).
+        stack_f = np.fft.fft(cols[:, index_f[:nb]] * shift_f[:nb], size,
+                             axis=2)
+        weighted = shift_g[:nb] * np.array(weights)[:, None]
+        stack_g = np.fft.fft(rows[index_g[:nb]] * weighted[:, :, None], size,
+                             axis=1)
+        stack_g *= stack_f.transpose(1, 0, 2)
+        acc += stack_g.sum(axis=0)
+    out = np.fft.ifft2(acc).tolist()
+    top = min(f.cap, size - 1)
+    return {(m, n): out[m][n]
             for m in range(top + 1) for n in range(top + 1 - m)}
 
 
@@ -261,9 +286,10 @@ def _star(f: MoyalPolynomial, g: MoyalPolynomial,
           truncate: bool) -> MoyalPolynomial:
     """Star product; ``truncate`` crops it to the cap instead of raising.
 
-    Both summations take their terms from :func:`_terms`.  Exact products
-    add them up in dict arithmetic and dict order, so terms that cancel
-    cancel exactly (numpy's vectorised complex products round differently).
+    Both summations take their term weights from :func:`_weights`.  Exact
+    products add them up in dict arithmetic and dict order, so terms that
+    cancel cancel exactly (numpy's vectorised complex products round
+    differently).
     Truncated ones go through :func:`_star_dense`; their rounding is
     absolute, about eps*|f||g| per coefficient for moderate theta, so a
     coefficient that should be zero may read about 1e-17.
@@ -277,13 +303,14 @@ def _star(f: MoyalPolynomial, g: MoyalPolynomial,
             f"star product of degrees {f.degree()} and {g.degree()} "
             f"exceeds degree cap {f.cap}")
     out: dict = {}
-    for a, b, weight in _terms(f, g):
-        dg = _deriv(g.coeffs, b, a)
-        for (m1, n1), c1 in _deriv(f.coeffs, a, b):
-            c1 *= weight
-            for (m2, n2), c2 in dg:
-                key = (m1 + m2, n1 + n2)
-                out[key] = out.get(key, 0j) + c1 * c2
+    for a, weights in enumerate(_weights(f, g)):
+        for b, weight in enumerate(weights):
+            dg = _deriv(g.coeffs, b, a)
+            for (m1, n1), c1 in _deriv(f.coeffs, a, b):
+                c1 *= weight
+                for (m2, n2), c2 in dg:
+                    key = (m1 + m2, n1 + n2)
+                    out[key] = out.get(key, 0j) + c1 * c2
     return MoyalPolynomial(out, f.theta, f.cap,
                            approximate=f.approximate or g.approximate)
 

@@ -212,12 +212,6 @@ def quasideterminant_oracle(a: BlockMatrix, i: int, j: int) -> RingElement:
         raise exc.relabel(f"inverse entry ({j},{i})") from exc
 
 
-def all_quasideterminants(a: BlockMatrix) -> list[list[RingElement]]:
-    """All n*n quasideterminants of a square BlockMatrix."""
-    return [[quasideterminant(a, i, j) for j in range(a.m)]
-            for i in range(a.n)]
-
-
 def to_complex_matrix(a: BlockMatrix) -> np.ndarray:
     """Flatten a scalar-backend (d = 1) BlockMatrix to a complex ndarray."""
     entries = [e for row in a.entries for e in row]

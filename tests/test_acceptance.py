@@ -11,9 +11,9 @@ import numpy as np
 
 from ncpain.ring import MatrixElement, random_invertible
 from ncpain.moyal import MoyalPolynomial, star_commutator, star_product
-from ncpain.quasidet import (BlockMatrix, all_quasideterminants,
-                             commutative_limit_residual, determinant_ratio,
-                             quasideterminant, quasideterminant_oracle)
+from ncpain.quasidet import (BlockMatrix, commutative_limit_residual,
+                             determinant_ratio, quasideterminant,
+                             quasideterminant_oracle)
 from ncpain.grid import GridFunction
 from ncpain.laxpair import (PiiState, SymState, build_A, build_B, build_L,
                             build_P, first_integral, integrate_symmetric,
@@ -25,6 +25,8 @@ from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
                              iterated_darboux, masked_n_fold, n_fold_darboux,
                              quasidet_eigenfunctions)
 from ncpain.cli import main
+
+from conftest import all_quasideterminants
 
 LAMBDAS = (1.0 + 0j, 1j, 2 - 3j)
 

@@ -351,6 +351,25 @@ class TestSymmetricCommand:
         assert report["results"]["reduction"]["sup"] <= 1e-5
         assert report["results"]["first_integral_drift"] <= 1e-8
 
+    def test_normalize_reports_the_v1_it_starts_from(self, tmp_path):
+        code = run(["symmetric", "--v0", "0.1", "--v2", "0.3j",
+                    "--alpha0", "0.5", "--alpha1", "1.5",
+                    "--t", "0.25:0.3:0.001", "--normalize"], tmp_path)
+        assert code == 0
+        data = load_report(tmp_path, "symmetric_report.json")[
+            "parameters"]["data"]
+        v0, v1, v2 = (complex(*data[k]) for k in ("v0", "v1", "v2"))
+        # The first integral vanishes at t0: v0 + v1 + v2^2 = 2 t0.
+        assert abs(v1 - (2 * 0.25 - v0 - v2 * v2)) <= 1e-15
+
+    def test_normalize_reports_the_random_v1(self, tmp_path):
+        code = run(["symmetric", "--random-matrix", "2", "--normalize",
+                    "--t", "0:0.01:0.001"], tmp_path)
+        assert code == 0
+        data = load_report(tmp_path, "symmetric_report.json")[
+            "parameters"]["data"]
+        assert np.shape(data["v1"]) == (2, 2, 2)  # [re, im] per entry
+
     def test_random_matrix_lax_residual(self, tmp_path):
         code = run(["symmetric", "--random-matrix", "2",
                     "--t", "0:0.2:0.001"], tmp_path)

@@ -6,10 +6,11 @@ import pytest
 from ncpain.integrators import rk4_step
 from ncpain.ring import MatrixElement, anticommutator, random_invertible
 from ncpain.grid import GridFunction
+from ncpain.moyal import MoyalPolynomial
 from ncpain.laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A,
                             build_B, build_L, build_P, first_integral,
-                            first_integral_drift, integrate_symmetric, lax_residual_symmetric,
-                            normalize_first_integral, pii_from_zero_curvature,
+                            first_integral_drift, integrate_symmetric,
+                            lax_residual_symmetric, normalize_first_integral,
                             pii_residual_exact, pii_residual_grid,
                             reduction_check, symmetric_rhs,
                             zero_curvature_residual)
@@ -17,6 +18,11 @@ from ncpain.laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A,
 from conftest import gaussian_element
 
 LAMBDAS = (1.0 + 0j, 1j, 2 - 3j)
+
+
+def pii_from_zero_curvature(residual):
+    """The equation residual, from entry (0, 1) of the curvature."""
+    return 1j * residual.entry(0, 1)
 
 
 def random_pii_state(rng, d, lam=1j):
@@ -251,6 +257,43 @@ class TestSymmetricSystem:
             perturbed = (d0 + eps * d0.one_like(), d1, d2)
             res = lax_residual_symmetric(s, rhs=perturbed)
             assert res.norm() == pytest.approx(eps, rel=1e-9)
+
+
+def star_poly(rng, degree, theta=0.3, cap=16):
+    return MoyalPolynomial(
+        {(m, n): complex(*rng.standard_normal(2))
+         for m in range(degree + 1) for n in range(degree + 1 - m)},
+        theta, cap)
+
+
+class TestOverStarPolynomials:
+    """Criteria 1 and 5 with MoyalPolynomial fields in place of matrices."""
+
+    def test_zero_curvature_identities(self, rng):
+        v, v_z, v_zz = (star_poly(rng, 3) for _ in range(3))
+        z, c_val = 0.4 + 0.2j, 0.7 - 0.1j
+        pii = pii_residual_exact(v, v_zz, z, c_val)
+        for lam in LAMBDAS:
+            s = PiiState(v, v_z, v_zz, z, lam, c_val)
+            res = zero_curvature_residual(s)
+            scale = max(1.0, build_A(s).norm() * build_B(v, lam).norm())
+            assert res.entry(0, 0).norm() <= 1e-12 * scale
+            assert res.entry(1, 1).norm() <= 1e-12 * scale
+            assert (res.entry(0, 1) + 1j * pii).norm() <= 1e-12 * scale
+            assert (res.entry(1, 0) - 1j * pii).norm() <= 1e-12 * scale
+
+    def test_symmetric_lax_residual_is_the_inverse_tail(self, rng):
+        # build_P takes star inverses, which are truncated series; the
+        # residual's v0 and v1 entries are (alpha/2)(v^-1 v - 1 + v v^-1 - 1),
+        # so the measured tails bound it, plus rounding.
+        v = 2 + 0.05 * star_poly(rng, 3)
+        s = SymState(v, v, star_poly(rng, 3), 0.5, 1.5)
+        one, v_inv = v.one_like(), v.inv()
+        tail = (v_inv * v - one).norm() + (v * v_inv - one).norm()
+        res = lax_residual_symmetric(s)
+        scale = max(1.0, build_L(s).norm() * build_P(s).norm())
+        assert res.norm() <= 0.5 * (abs(s.alpha0) + abs(s.alpha1)) * tail \
+            + 1e-12 * scale
 
 
 class TestFlow:

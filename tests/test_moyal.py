@@ -10,6 +10,7 @@ against plain operator algebra.
 from itertools import permutations
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as hst
@@ -267,12 +268,33 @@ class TestTruncatedProduct:
     the scale instead.
     """
 
-    @pytest.mark.parametrize("cap,g_degree", [(16, 16), (24, 12)])
+    @pytest.mark.parametrize("cap,g_degree", [(16, 16), (24, 12), (24, 24)])
     def test_dense_operands(self, rng, cap, g_degree):
         f = dense_poly(rng, cap, 0.05, cap)
         g = dense_poly(rng, g_degree, 0.05, cap)
         assert_truncated_product(f, g)
         assert_truncated_product(g, f)
+
+    def test_constant_operand(self, rng):
+        # kmax = 0 at theta != 0: one derivative order, one term.
+        c = MoyalPolynomial({(0, 0): 0.7 - 1.2j}, THETA, 8)
+        f = dense_poly(rng, 8, THETA, 8)
+        assert_truncated_product(c, f)
+        assert_truncated_product(f, c)
+
+    def test_one_batched_transform_per_derivative_order(self, rng,
+                                                        monkeypatch):
+        calls = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        f = as_approximate(dense_poly(rng, 16, 0.05, 16))
+        g = dense_poly(rng, 16, 0.05, 16)
+        assert (f * g).approximate
+        kmax = 16
+        assert 0 < len(calls) <= 4 * (kmax + 1) + 1
 
     def test_theta_zero(self, rng):
         f = dense_poly(rng, 6, 0.0, 8)

@@ -5,9 +5,11 @@ import hypothesis.strategies as hst
 
 from ncpain.ring import MatrixElement, NearSingularError, random_invertible
 from ncpain.moyal import MoyalPolynomial
-from ncpain.quasidet import (BlockMatrix, all_quasideterminants, block_inverse,
+from ncpain.quasidet import (BlockMatrix, block_inverse,
                              commutative_limit_residual, determinant_ratio,
                              quasideterminant, quasideterminant_oracle)
+
+from conftest import all_quasideterminants
 
 
 def scalar_block(rows):
