@@ -79,8 +79,10 @@ def integrate_linear(v: Callable[[float], RingElement], lam,
 
     ``lam`` is one spectral parameter, giving one (chi, phi) pair of
     grids, or a sequence of them, giving a list of pairs.  All parameters
-    are integrated as one stacked system: lambda enters as a batched
-    diagonal element with one position per parameter.
+    are integrated as one stacked system: the RK4 state is one array of
+    shape (2, len(lam), d, d) holding chi and phi at every parameter, and
+    the right-hand side is D Psi plus v Psi with its two rows swapped,
+    where the constant D holds -2i lam and 2i lam times the identity.
     """
     if h > MAX_GRID_STEP:
         raise ValueError(f"grid step {h} too coarse, need h <= {MAX_GRID_STEP}")
@@ -88,22 +90,21 @@ def integrate_linear(v: Callable[[float], RingElement], lam,
     if not (chi0.data.any() or phi0.data.any()):  # a norm can underflow
         raise ValueError("initial eigenfunction pair must not be zero")
     lams = [complex(x) for x in np.atleast_1d(lam)]
-    lead = MatrixElement.scalars([-2.0 * 1j * x for x in lams], chi0.d)
-    trail = MatrixElement.scalars([2.0 * 1j * x for x in lams], chi0.d)
+    D = np.asarray([[c * x for x in lams] for c in (-2.0 * 1j, 2.0 * 1j)]
+                   )[..., None, None] * np.eye(chi0.d)
 
     def rhs(z, y):
         vz = v(z)
         chi0._require_same_ring(vz)
-        chi, phi = y
-        return (lead.data @ chi + vz.data @ phi,
-                vz.data @ chi + trail.data @ phi)
+        Y, = y
+        return D @ Y + (vz.data @ Y)[::-1],
 
-    states, _ = rk4_path(rhs, z0, (chi0.data, phi0.data), h, n - 1)
-    # One component at a time, to bound peak memory; y0 is unbatched.
-    shape = (len(lams),) + chi0.data.shape
-    chi, phi = ([GridFunction(z0, h, MatrixElement(x)) for x in np.stack(
-        [np.broadcast_to(s[i], shape) for s in states], axis=1)]
-        for i in (0, 1))
+    y0 = np.broadcast_to(np.stack([chi0.data, phi0.data])[:, None], D.shape)
+    states, _ = rk4_path(rhs, z0, (y0,), h, n - 1)
+    # One component at a time, to bound peak memory.
+    chi, phi = ([GridFunction(z0, h, MatrixElement(x))
+                 for x in np.stack([s[i] for s, in states], axis=1)]
+                for i in (0, 1))
     pairs = list(zip(chi, phi))
     return pairs if np.ndim(lam) else pairs[0]
 

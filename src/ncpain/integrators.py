@@ -1,9 +1,9 @@
 """Classical fixed-step 4th-order integration.
 
 A state is a tuple of values closed under ``+``, ``-``, multiplication by
-a number and ``@``: ring elements, or the bare ``numpy`` arrays of
-``MatrixElement`` states, which run the same numpy operations in the same
-order without an element per operation.
+a number and ``@``: ring elements, or bare ``numpy`` arrays, such as one
+array stacking every ``MatrixElement`` field of a system, which makes each
+stage combination one numpy operation with the bits of one per field.
 """
 
 from __future__ import annotations

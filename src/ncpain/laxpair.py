@@ -207,14 +207,10 @@ def build_P(s: SymState) -> BlockMatrix:
     ])
 
 
-def _flow_rhs(v0, v1, v2, a0, a1):
-    # a0, a1: alpha0 * one and alpha1 * one; all five elements or arrays.
-    return v2 @ v0 + v0 @ v2 + a0, a1 - (v2 @ v1 + v1 @ v2), v1 - v0
-
-
 def symmetric_rhs(s: SymState) -> tuple[RingElement, RingElement, RingElement]:
     one = s.v0.one_like()
-    return _flow_rhs(s.v0, s.v1, s.v2, s.alpha0 * one, s.alpha1 * one)
+    return (anticommutator(s.v2, s.v0) + s.alpha0 * one,
+            s.alpha1 * one - anticommutator(s.v2, s.v1), s.v1 - s.v0)
 
 
 def lax_residual_symmetric(s: SymState, rhs=None) -> BlockMatrix:
@@ -292,10 +288,20 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
     one = s0.v0.one_like()
     a0, a1 = (s0.alpha0 * one).data, (s0.alpha1 * one).data
 
+    def rhs(t, y):
+        # symmetric_rhs on the stacked state Y = (v0, v1, v2), bit for bit.
+        Y, = y
+        s = anticommutator(Y[2], Y[:2])
+        out = np.empty_like(Y)
+        np.add(s[0], a0, out=out[0])
+        np.subtract(a1, s[1], out=out[1])
+        np.subtract(Y[1], Y[0], out=out[2])
+        return out,
+
     def monitor(times, ys):
         # One batched SVD per block; rows are states, columns v0, v1, v2.
         smin, smax = (a.reshape(-1, 3) for a in MatrixElement(
-            [x for y in ys for x in y]).point_extremes())
+            np.concatenate([y for y, in ys])).point_extremes())
         # Invertibility margin of v0 and v1: the smallest singular value,
         # saturated so tiny well-conditioned scalars are still flagged.
         margin = smin[:, :2] / np.maximum(smax[:, :2], 1.0)
@@ -310,14 +316,12 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
         return i, (f"v{j - 3} is near-singular at t = {times[i]:.6g} "
                    f"(margin {margin[i, j - 3]:.3e})")
 
-    y0 = (s0.v0, s0.v1, s0.v2)
+    y0 = np.stack([s0.v0.data, s0.v1.data, s0.v2.data])
     # Steps computed past a refused state must not warn of their overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        ys, reason = rk4_path(lambda t, y: _flow_rhs(*y, a0, a1), s0.t,
-                              tuple(el.data for el in y0), h, steps, monitor)
-    ys = [y0] + [tuple(map(_wrap, y)) for y in ys[1:]]
-    states = [SymState(y[0], y[1], y[2], s0.alpha0, s0.alpha1, s0.t + i * h)
-              for i, y in enumerate(ys)]
+        ys, reason = rk4_path(rhs, s0.t, (y0,), h, steps, monitor)
+    states = [SymState(*map(_wrap, y), s0.alpha0, s0.alpha1, s0.t + i * h)
+              for i, (y,) in enumerate(ys)]
     return FlowResult(states, reason is not None, reason)
 
 

@@ -7,9 +7,10 @@ over complex numbers, matrix rings, and the star-product polynomials of
 ``a + (-b)``; ``MatrixElement`` overrides it with one array subtraction.
 Each ``MatrixElement`` operation is one numpy operation on ``.data``, and
 ``@`` is the ring product, so a formula spelled with ``+ - scalar* @``
-runs unchanged on the bare arrays; ``integrators`` steps them that way.
+runs unchanged on bare arrays and on stacks of them, as the RK4 flows run.
 Elements are immutable values, safe to share across threads: an arithmetic
-result owns a fresh read-only array, and ``eye``/``one_like`` and
+result owns a fresh read-only array (a flow state's fields are read-only
+views of one such array), and ``eye``/``one_like`` and
 ``zeros``/``zero_like`` hand out one shared identity and zero per size.
 
 A ``MatrixElement`` may carry a leading batch axis, data of shape (n, d, d),
@@ -292,9 +293,9 @@ class MatrixElement(RingElement):
 
 
 def _wrap(arr: np.ndarray) -> MatrixElement:
-    """The private constructor of ring results: ``arr`` is a complex array
-    of shape (d, d) or (n, d, d) that was just computed and that nothing
-    else references, so it is frozen in place, without a copy or a check."""
+    """The private constructor of ring results: ``arr`` is a fresh complex
+    array of shape (d, d) or (n, d, d), or a view of one, that nothing else
+    writes, so it is frozen in place, without a copy or a check."""
     el = object.__new__(MatrixElement)
     arr.setflags(write=False)
     el.data = arr
@@ -306,9 +307,9 @@ def commutator(a: RingElement, b: RingElement) -> RingElement:
     return a * b - b * a
 
 
-def anticommutator(a: RingElement, b: RingElement) -> RingElement:
-    """a*b + b*a."""
-    return a * b + b * a
+def anticommutator(a, b):
+    """a*b + b*a, spelled with ``@``, so it runs on bare arrays too."""
+    return a @ b + b @ a
 
 
 def random_matrix(rng: np.random.Generator, d: int,

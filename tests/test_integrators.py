@@ -48,43 +48,51 @@ class TestRingChecks:
 
 
 class TestReplay:
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_integrate_linear_matches_the_element_path(self, d):
         # Three lambdas: batched lead/trail meet an unbatched initial pair.
+        # One lambda, not in a sequence, gives one pair and not a list.
         rng = np.random.default_rng(40 + d)
         m, n_ = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                  for _ in range(2))
         init = (gaussian_element(rng, d), gaussian_element(rng, d))
-        lams, z0, h, n = (1j, 0.5 - 2j, -1.25), 1.0, 1e-3, 40
-        seen = {"replay": [], "element": []}
+        z0, h, n = 1.0, 1e-3, 40
+        for lam in ((1j, 0.5 - 2j, -1.25), 0.5 - 2j):
+            lams = np.atleast_1d(lam).tolist()
+            seen = {"replay": [], "element": []}
 
-        def seed(log):
-            def v(z):
-                seen[log].append(z)
-                return (1.0 / z) * MatrixElement(m) \
-                    + (z * z) * MatrixElement(n_)
-            return v
+            def seed(log):
+                def v(z):
+                    seen[log].append(z)
+                    return (1.0 / z) * MatrixElement(m) \
+                        + (z * z) * MatrixElement(n_)
+                return v
 
-        pairs = integrate_linear(seed("replay"), lams, init, z0, h, n)
+            pairs = integrate_linear(seed("replay"), lam, init, z0, h, n)
+            if not np.ndim(lam):
+                assert isinstance(pairs, tuple) and len(pairs) == 2
+                pairs = [pairs]
 
-        lead = MatrixElement.scalars([-2.0 * 1j * x for x in lams], d)
-        trail = MatrixElement.scalars([2.0 * 1j * x for x in lams], d)
-        v = seed("element")
+            lead = MatrixElement.scalars([-2.0 * 1j * x for x in lams], d)
+            trail = MatrixElement.scalars([2.0 * 1j * x for x in lams], d)
+            v = seed("element")
 
-        def rhs(z, y):
-            chi, phi = y
-            vz = v(z)
-            return lead * chi + vz * phi, vz * chi + trail * phi
+            def rhs(z, y):
+                chi, phi = y
+                vz = v(z)
+                return lead * chi + vz * phi, vz * chi + trail * phi
 
-        expected = element_path(rhs, z0, init, h, n - 1)
-        assert expected[1][0].data.shape == (3, d, d)
-        assert seen["replay"] == seen["element"]
-        assert len(seen["replay"]) == 4 * (n - 1)
-        for j, (chi, phi) in enumerate(pairs):
-            for grid, field in ((chi, 0), (phi, 1)):
-                want = np.stack([np.broadcast_to(s[field].data, (3, d, d))[j]
-                                 for s in expected])
-                assert grid.batch.data.tobytes() == want.tobytes()
+            expected = element_path(rhs, z0, init, h, n - 1)
+            shape = (len(lams), d, d)
+            assert expected[1][0].data.shape == shape
+            assert seen["replay"] == seen["element"]
+            assert len(seen["replay"]) == 4 * (n - 1)
+            assert len(pairs) == len(lams)
+            for j, (chi, phi) in enumerate(pairs):
+                for grid, field in ((chi, 0), (phi, 1)):
+                    want = np.stack([np.broadcast_to(s[field].data, shape)[j]
+                                     for s in expected])
+                    assert grid.batch.data.tobytes() == want.tobytes()
 
     def test_flow_with_signed_zeros(self):
         y0 = (signed_zeros((0.3, -0.0), (-0.0, 0.0), (0.0, -0.0), (0.2, 0.0)),
@@ -106,6 +114,20 @@ class TestReplay:
         last = np.concatenate([el.data.ravel() for el in expected[-1]])
         parts = np.concatenate([last.real, last.imag])
         assert np.any((parts == 0) & np.signbit(parts))
+
+    def test_flow_fields_are_read_only(self, rng):
+        # Each field is a view of the stacked state; the stack stays
+        # writable, so the view itself must refuse writes.
+        y0 = tuple(gaussian_element(rng, 2) for _ in range(3))
+        flow = integrate_symmetric(SymState(*y0, 0.5, 1.5), 0.1, 0.01)
+        assert len(flow.states) == 11
+        for s in flow.states:
+            for el in (s.v0, s.v1, s.v2):
+                assert not el.data.flags.writeable
+                with pytest.raises(ValueError):
+                    el.data[0, 0] = 0.0
+        for s, t in itertools.combinations(flow.states, 2):
+            assert not np.shares_memory(s.v0.data, t.v0.data)
 
     def test_states_are_read_only_and_share_no_buffer(self, rng):
         y0 = tuple(gaussian_element(rng, 3) for _ in range(3))

@@ -540,3 +540,69 @@ class TestReduction:
         flow = integrate_symmetric(s0, 0.1, 1e-3)
         with pytest.raises(ValueError):
             reduction_check(flow.states)
+
+
+class TestBacklund:
+    """Algebraic Backlund images of a normalized symmetric flow.
+
+    With the first integral zero and alpha0 + alpha1 = 2, the flow gives
+    v2' - v2^2 + 2t = 2 v1 and v2' + v2^2 - 2t = -2 v0, so
+    -v2 + alpha1 v1^-1 solves P-II at C + 4 and -v2 - alpha0 v0^-1 at
+    C - 4, where C = alpha1 - alpha0 (Noumi, Painleve Equations through
+    Symmetry).  These targets hold for genuinely noncommutative data, and
+    no code path builds them from the flow's own reduction.
+    """
+
+    # (d, alpha0, seed of the random invertible data)
+    CASES = {"2x2-real": (2, 0.7, 1), "2x2-complex": (2, 0.4 + 0.2j, 3),
+             "3x3-real": (3, 1.3, 4), "3x3-complex": (3, 0.5 - 0.3j, 2)}
+
+    @staticmethod
+    def flow(d, alpha0, seed, h):
+        """The flow on [0, 0.5] as one batched SymState, and its images."""
+        alpha1 = 2.0 - alpha0
+        rng = np.random.default_rng(seed)
+        s0 = normalize_first_integral(SymState(
+            *(random_invertible(rng, d, scale=0.5) for _ in range(3)),
+            alpha0, alpha1))
+        flow = integrate_symmetric(s0, 0.5, h)
+        assert not flow.truncated
+        v0, v1, v2 = (MatrixElement([getattr(s, name).data
+                                     for s in flow.states])
+                      for name in ("v0", "v1", "v2"))
+        images = {"plus": -v2 + alpha1 * v1.inv(),
+                  "minus": -v2 - alpha0 * v0.inv(),
+                  # the wrong pairing: alpha1 with v0
+                  "wrong": -v2 + alpha1 * v0.inv()}
+        return SymState(v0, v1, v2, alpha0, alpha1), images
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_images_solve_pii_at_shifted_c(self, case):
+        d, alpha0, seed = self.CASES[case]
+        c = (2.0 - alpha0) - alpha0
+        targets = {"plus": c + 4, "minus": c - 4, "wrong": c + 4}
+        sups = {name: [] for name in targets}
+        for h in (2e-3, 1e-3, 5e-4):
+            _, images = self.flow(d, alpha0, seed, h)
+            for name, image in images.items():
+                grid = GridFunction(0.0, h, image)
+                sups[name].append(
+                    pii_residual_grid(grid, targets[name]).sup_norm())
+        # O(h^2) of the centred stencil: a ratio of 4 per halving of h.
+        for name in ("plus", "minus"):
+            coarse, mid, fine = sups[name]
+            assert 3.5 <= coarse / mid <= 4.5
+            assert 3.5 <= mid / fine <= 4.5
+        coarse, _, fine = sups["wrong"]
+        assert 0.9 <= coarse / fine <= 1.1
+        assert fine > 100 * max(sups["plus"][-1], sups["minus"][-1])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_images_are_v2_plus_twice_rho(self, case):
+        batch, images = self.flow(*self.CASES[case], h=2e-3)
+        pee = build_P(batch)
+        rho1, rho2 = pee.entry(0, 0), pee.entry(3, 3)
+        for image, rho in ((images["minus"], rho1), (images["plus"], rho2)):
+            diff = (batch.v2 + 2 * rho - image).point_norms()
+            scale = batch.v2.point_norms() + image.point_norms()
+            assert np.all(diff <= 1e-13 * scale)
