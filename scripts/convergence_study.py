@@ -21,7 +21,7 @@ def flow_errors():
                  MatrixElement.scalar(0.3), 0.5, 1.5, 0.0))
 
     def endpoint(h):
-        return integrate_symmetric(s0, 1.0, h).states[-1].v2
+        return MatrixElement(integrate_symmetric(s0, 1.0, h).path.v2.data[-1])
 
     ref = endpoint(6.25e-5)
     return [(h, (endpoint(h) - ref).norm()) for h in (4e-3, 2e-3, 1e-3)]

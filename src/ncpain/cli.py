@@ -379,6 +379,33 @@ def run_dressing(args):
 FIELD_DEFAULTS = {"v0": "0.1", "v1": "1", "v2": "0.3"}
 
 
+def _lax_samples(samples: SymState) -> list[dict]:
+    """Per position of the batched ``samples``: its time and its Lax
+    residual relative to the norms of its fields, or the refusal of an
+    inverse there.  A refusal's message gives the condition number of its
+    first refused position, so that position is dropped and the rest
+    rerun: each refused sample reports what it raises alone."""
+    residuals = np.full(len(samples.t), np.nan)
+    errors = {}
+    keep = np.arange(len(samples.t))
+    while keep.size:
+        batch = samples.at(keep)
+        try:
+            res = lax_residual_symmetric(batch)
+        except NearSingularError as exc:
+            errors[int(keep[exc.indices[0]])] = str(exc)
+            keep = np.delete(keep, exc.indices[0])
+        else:
+            scale = np.fmax(1.0, batch.v0.point_norms()
+                            + batch.v1.point_norms() + batch.v2.point_norms())
+            residuals[keep] = np.divide(res.point_norms(), scale)
+            break
+    return [{"t": t, "residual": None, "error": errors[k]} if k in errors
+            else {"t": t, "residual": r}
+            for k, (t, r) in enumerate(zip(samples.t.tolist(),
+                                           residuals.tolist()))]
+
+
 def run_symmetric(args):
     t0, h, n = parse_range(args.t)
     given = {k: getattr(args, k) for k in FIELD_DEFAULTS
@@ -410,28 +437,20 @@ def run_symmetric(args):
 
     flow = integrate_symmetric(state, t0 + (n - 1) * h, h,
                                min_condition=args.min_cond)
-    states = flow.states
+    path = flow.path
+    covered = len(path.t)
 
-    sample_count = min(11, len(states))
-    sample_idx = sorted({round(i * (len(states) - 1) / (sample_count - 1))
+    sample_count = min(11, covered)
+    sample_idx = sorted({round(i * (covered - 1) / (sample_count - 1))
                          for i in range(sample_count)}) \
-        if len(states) > 1 else [0]
-    lax_samples = []
-    for idx in sample_idx:
-        s = states[idx]
-        try:
-            res = lax_residual_symmetric(s)
-            scale = max(1.0, s.v0.norm() + s.v1.norm() + s.v2.norm())
-            lax_samples.append({"t": s.t, "residual": res.norm() / scale})
-        except NearSingularError as exc:
-            lax_samples.append({"t": s.t, "residual": None,
-                                "error": str(exc)})
+        if covered > 1 else [0]
+    lax_samples = _lax_samples(path.at(sample_idx))
 
-    drift = first_integral_drift(states)
+    drift = first_integral_drift(path)
 
     reduction = None
-    if args.normalize and not flow.truncated and len(states) >= 5:
-        residual = reduction_check(states)
+    if args.normalize and not flow.truncated and covered >= 5:
+        residual = reduction_check(path)
         reduction = {"sup": residual.sup_norm(),
                      "mean": residual.mean_norm()}
 
@@ -454,7 +473,7 @@ def run_symmetric(args):
     results = {
         "truncated": flow.truncated,
         "truncation_reason": flow.reason,
-        "states_covered": len(states),
+        "states_covered": covered,
         "lax_samples": lax_samples,
         "first_integral_drift": drift,
         "reduction": reduction,

@@ -21,6 +21,7 @@ P-II for v2 once that first integral is set to zero and alpha0 + alpha1 = 2
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,8 @@ class PiiState:
 
 @dataclass(frozen=True)
 class SymState:
-    """One point of the symmetric three-field flow."""
+    """One point of the symmetric three-field flow, or a batch of them:
+    batched fields, with ``t`` one number per position."""
 
     v0: RingElement
     v1: RingElement
@@ -60,12 +62,33 @@ class SymState:
     alpha1: complex
     t: float = 0.0
 
+    def at(self, k) -> "SymState":
+        """Position ``k`` of a batched MatrixElement state as one state of
+        views; a slice or an index array gives a batch."""
+        fields = (_wrap(f.data[k]) for f in (self.v0, self.v1, self.v2))
+        t = self.t[k]
+        return SymState(*fields, self.alpha0, self.alpha1,
+                        t if np.ndim(t) else float(t))
+
 
 @dataclass(frozen=True)
 class FlowResult:
-    states: list
+    """A trajectory of ``integrate_symmetric``.
+
+    ``path`` is the whole trajectory as one batched SymState: its v0, v1
+    and v2 are read-only views of one (n, 3, d, d) array, and its ``t``
+    holds the n times.  ``states`` lists the per-state views of ``path``;
+    it is built on first use.  ``truncated`` tells whether the flow stopped
+    early, and ``reason`` why.
+    """
+
+    path: SymState
     truncated: bool
     reason: str | None
+
+    @functools.cached_property
+    def states(self) -> list[SymState]:
+        return [self.path.at(i) for i in range(len(self.path.t))]
 
 
 def _require_lambda(lam: complex):
@@ -165,26 +188,24 @@ def pii_residual_grid(f: GridFunction, C: complex,
 # -- symmetric three-field representation ---------------------------------
 
 def _block_diag(blocks) -> BlockMatrix:
-    zero = blocks[0][0][0].zero_like()
+    zero = blocks[0].entry(0, 0).zero_like()
     size = 2 * len(blocks)
     rows = [[zero] * size for _ in range(size)]
     for b, block in enumerate(blocks):
-        for i, row in enumerate(block):
+        for i, row in enumerate(block.entries):
             rows[2 * b + i][2 * b:2 * b + 2] = row
     return BlockMatrix(rows)
 
 
-def build_L(s: SymState) -> BlockMatrix:
+def _L_blocks(s: SymState) -> list[BlockMatrix]:
     one = s.v0.one_like()
     zero = s.v0.zero_like()
-    return _block_diag([
-        [[one, zero], [-s.v0, -one]],
-        [[one, zero], [-s.v1, -one]],
-        [[-one, zero], [-s.v2, one]],
-    ])
+    return [BlockMatrix([[one, zero], [-s.v0, -one]]),
+            BlockMatrix([[one, zero], [-s.v1, -one]]),
+            BlockMatrix([[-one, zero], [-s.v2, one]])]
 
 
-def build_P(s: SymState) -> BlockMatrix:
+def _P_blocks(s: SymState) -> list[BlockMatrix]:
     one = s.v0.one_like()
     zero = s.v0.zero_like()
     try:
@@ -200,11 +221,17 @@ def build_P(s: SymState) -> BlockMatrix:
     sigma = s.v0 - s.v1 + 2 * s.v2
     # Lower-left sign of the third block is forced by L3_t = [P3, L3]
     # together with v2' = v1 - v0.
-    return _block_diag([
-        [[rho1, zero], [zero, -rho1]],
-        [[-rho2, zero], [zero, rho2]],
-        [[-one, zero], [(-0.5) * sigma, one]],
-    ])
+    return [BlockMatrix([[rho1, zero], [zero, -rho1]]),
+            BlockMatrix([[-rho2, zero], [zero, rho2]]),
+            BlockMatrix([[-one, zero], [(-0.5) * sigma, one]])]
+
+
+def build_L(s: SymState) -> BlockMatrix:
+    return _block_diag(_L_blocks(s))
+
+
+def build_P(s: SymState) -> BlockMatrix:
+    return _block_diag(_P_blocks(s))
 
 
 def symmetric_rhs(s: SymState) -> tuple[RingElement, RingElement, RingElement]:
@@ -218,48 +245,42 @@ def lax_residual_symmetric(s: SymState, rhs=None) -> BlockMatrix:
 
     ``rhs`` overrides the derivative triple (default: symmetric_rhs(s)),
     which makes perturbation sensitivity measurable.
+
+    L and P are block diagonal, so the residual is computed one 2x2 block
+    at a time; the blocks off the diagonal are zero.  With a batched state,
+    one evaluation covers every position.
     """
     if rhs is None:
         rhs = symmetric_rhs(s)
-    ell = build_L(s)
-    pee = build_P(s)
     zero = s.v0.zero_like()
-    rows = [[zero] * 6 for _ in range(6)]
-    rows[1][0] = -rhs[0]
-    rows[3][2] = -rhs[1]
-    rows[5][4] = -rhs[2]
-    ell_t = BlockMatrix(rows)
-    return ell_t - (pee @ ell - ell @ pee)
+    blocks = []
+    for ell, pee, field_t in zip(_L_blocks(s), _P_blocks(s), rhs):
+        ell_t = BlockMatrix([[zero, zero], [-field_t, zero]])
+        blocks.append(ell_t - (pee @ ell - ell @ pee))
+    return _block_diag(blocks)
 
 
 def first_integral(s: SymState) -> RingElement:
     """v0 + v1 + v2^2 - (alpha0 + alpha1) t; constant along the flow.
 
-    ``s.t`` is a number, or a batched central element holding each state's
-    t (see ``first_integral_drift``).
+    ``s.t`` is a number, or one number per position of a batched state.
     """
-    alpha_sum = s.alpha0 + s.alpha1
-    t_term = alpha_sum * s.t if isinstance(s.t, RingElement) \
-        else (alpha_sum * s.t) * s.v0.one_like()
+    t_term = _central((s.alpha0 + s.alpha1) * s.t, s.v0.one_like())
     return s.v0 + s.v1 + s.v2 * s.v2 - t_term
 
 
-def first_integral_drift(states) -> float:
-    """max over the states of |first_integral(s) - first_integral(states[0])|.
+def first_integral_drift(path: SymState) -> float:
+    """max over the states of |first_integral(s) - first_integral(s_0)|.
 
-    The states are evaluated as one batched SymState per STENCIL_BLOCK of
-    them, which gives the per-state value bit for bit.
+    ``path`` is a trajectory as one batched SymState (``FlowResult.path``);
+    it is evaluated one STENCIL_BLOCK of states at a time, which gives the
+    per-state values bit for bit.
     """
-    s0 = states[0]
-    f0 = first_integral(s0)
+    f0 = first_integral(path.at(0))
     norms = []
-    for lo in range(0, len(states), STENCIL_BLOCK):
-        block = states[lo:lo + STENCIL_BLOCK]
-        v0, v1, v2 = (MatrixElement([getattr(s, name).data for s in block])
-                      for name in ("v0", "v1", "v2"))
-        t = MatrixElement.scalars([s.t for s in block], v0.d)
-        batch = SymState(v0, v1, v2, s0.alpha0, s0.alpha1, t)
-        norms += (first_integral(batch) - f0).point_norms().tolist()
+    for lo in range(0, len(path.t), STENCIL_BLOCK):
+        block = path.at(slice(lo, lo + STENCIL_BLOCK))
+        norms += (first_integral(block) - f0).point_norms().tolist()
     return max(norms)
 
 
@@ -320,30 +341,32 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
     # Steps computed past a refused state must not warn of their overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         ys, reason = rk4_path(rhs, s0.t, (y0,), h, steps, monitor)
-    states = [SymState(*map(_wrap, y), s0.alpha0, s0.alpha1, s0.t + i * h)
-              for i, (y,) in enumerate(ys)]
-    return FlowResult(states, reason is not None, reason)
+    t = s0.t + h * np.arange(len(ys))
+    t.setflags(write=False)
+    fields = map(_wrap, np.stack([y for y, in ys]).swapaxes(0, 1))
+    return FlowResult(SymState(*fields, s0.alpha0, s0.alpha1, t),
+                      reason is not None, reason)
 
 
-def reduction_check(states, integration_constant: float = 0.0
+def reduction_check(path: SymState, integration_constant: float = 0.0
                     ) -> GridFunction:
     """P-II residual of the v2 component along a symmetric trajectory.
 
-    Requires alpha0 + alpha1 = 2 (the scaling in which the eliminated
-    equation is P-II with C = alpha1 - alpha0 and z = t).  A nonzero value
-    of the conserved combination shifts z; pass it as
-    ``integration_constant`` to compensate.
+    ``path`` is the trajectory as one batched SymState
+    (``FlowResult.path``).  Requires alpha0 + alpha1 = 2 (the scaling in
+    which the eliminated equation is P-II with C = alpha1 - alpha0 and
+    z = t).  A nonzero value of the conserved combination shifts z; pass
+    it as ``integration_constant`` to compensate.
     """
-    if len(states) < 2:
+    if len(path.t) < 2:
         raise ValueError("trajectory too short")
-    s0 = states[0]
-    alpha_sum = s0.alpha0 + s0.alpha1
+    alpha_sum = path.alpha0 + path.alpha1
     if abs(alpha_sum - NORMALIZED_ALPHA_SUM) > 1e-12:
         raise ValueError(
             f"reduction needs alpha0 + alpha1 = {NORMALIZED_ALPHA_SUM}, "
             f"got {alpha_sum}")
-    dt = states[1].t - states[0].t
-    v2_grid = GridFunction(s0.t, dt, tuple(s.v2 for s in states))
-    c_val = s0.alpha1 - s0.alpha0
+    t0, t1 = path.t[:2].tolist()
+    v2_grid = GridFunction(t0, t1 - t0, path.v2)
+    c_val = path.alpha1 - path.alpha0
     return pii_residual_grid(v2_grid, c_val,
                              z_shift=integration_constant / 2.0)

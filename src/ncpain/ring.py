@@ -9,7 +9,7 @@ Each ``MatrixElement`` operation is one numpy operation on ``.data``, and
 ``@`` is the ring product, so a formula spelled with ``+ - scalar* @``
 runs unchanged on bare arrays and on stacks of them, as the RK4 flows run.
 Elements are immutable values, safe to share across threads: an arithmetic
-result owns a fresh read-only array (a flow state's fields are read-only
+result owns a fresh read-only array (a flow path's fields are read-only
 views of one such array), and ``eye``/``one_like`` and
 ``zeros``/``zero_like`` hand out one shared identity and zero per size.
 

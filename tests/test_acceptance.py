@@ -237,7 +237,7 @@ def test_criterion_5_symmetric_lax():
     assert not flow.truncated
     f0 = first_integral(flow.states[0])
     drift = max((first_integral(s) - f0).norm() for s in flow.states)
-    reduction = reduction_check(flow.states).sup_norm()
+    reduction = reduction_check(flow.path).sup_norm()
 
     elapsed = time.perf_counter() - t0
     ok = (worst_lax <= 1e-12 and drift <= 1e-8 and reduction <= 1e-5

@@ -12,10 +12,13 @@ import pytest
 from ncpain import cli
 from ncpain.cli import (build_parser, main, parse_complex, parse_complex_list,
                         parse_range)
-from ncpain.laxpair import (STENCIL_BLOCK, PiiState, build_A, build_B,
-                            pii_residual_exact, zero_curvature_residual)
+from ncpain.laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A,
+                            build_B, integrate_symmetric,
+                            lax_residual_symmetric, pii_residual_exact,
+                            zero_curvature_residual)
 from ncpain.quasidet import BlockMatrix, determinant_ratio
-from ncpain.ring import MatrixElement, random_matrix
+from ncpain.ring import (MatrixElement, NearSingularError, random_invertible,
+                         random_matrix)
 
 
 def run(args, tmp_path):
@@ -387,6 +390,72 @@ class TestSymmetricCommand:
         report = load_report(tmp_path, "symmetric_report.json")
         assert report["results"]["truncated"] is True
         assert "v0" in report["results"]["truncation_reason"]
+
+    def test_truncated_at_the_first_step(self, tmp_path):
+        code = run(["symmetric", "--v0", "1e-3", "--v1", "1", "--v2", "0",
+                    "--alpha0", "0", "--alpha1", "0", "--min-cond", "0.5",
+                    "--t", "0:0.1:0.001"], tmp_path)
+        assert code == 3
+        results = load_report(tmp_path, "symmetric_report.json")["results"]
+        assert results["states_covered"] == 1
+        assert results["lax_samples"] == [{"t": 0.0, "residual": 0.0}]
+        assert results["first_integral_drift"] == 0.0
+
+    def test_singular_first_sample_is_reported_not_fatal(self, tmp_path):
+        code = run(["symmetric", "--v0", "0", "--v1", "1", "--v2", "0.2",
+                    "--t", "0:0.1:0.001"], tmp_path)
+        assert code == 0
+        samples = load_report(tmp_path, "symmetric_report.json")[
+            "results"]["lax_samples"]
+        assert samples[0] == {
+            "t": 0.0, "residual": None,
+            "error": "matrix is near-singular (condition ~ inf) [v0]"}
+        assert len(samples) == 11
+        assert all(s["residual"] <= 1e-12 for s in samples[1:])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_batched_lax_samples_match_each_state(self, d):
+        rng = np.random.default_rng(40 + d)
+        s0 = SymState(*(random_invertible(rng, d, scale=0.5)
+                        for _ in range(3)), 0.5 - 0.2j, 1.5 + 0.1j, 0.1)
+        flow = integrate_symmetric(s0, 1.1, 1e-3)
+        idx = list(range(0, 1001, 100))
+        expected = []
+        for s in (flow.states[i] for i in idx):
+            scale = max(1.0, s.v0.norm() + s.v1.norm() + s.v2.norm())
+            expected.append({"t": s.t, "residual":
+                             lax_residual_symmetric(s).norm() / scale})
+        assert cli._lax_samples(flow.path.at(idx)) == expected
+
+    def test_refused_samples_keep_their_own_errors(self):
+        # Positions 1 and 4 refuse v0, position 3 refuses v1, each with its
+        # own condition number; a position refused in both reports v0.
+        eye, rng = np.eye(2), np.random.default_rng(8)
+        fields = [[random_invertible(rng, 2).data for _ in range(5)]
+                  for _ in range(3)]
+        fields[0][1] = np.diag([1.0, 1e-14])
+        fields[1][3] = np.diag([1e-13, 2.0])
+        fields[0][4] = 0 * eye
+        fields[1][4] = 0 * eye
+        batch = SymState(*(MatrixElement(f) for f in fields), 0.5, 1.5,
+                         np.linspace(0.0, 0.4, 5))
+        samples = cli._lax_samples(batch)
+        errors = {1: "matrix is near-singular (condition ~ 1.000e+14) [v0]",
+                  3: "matrix is near-singular (condition ~ 2.000e+13) [v1]",
+                  4: "matrix is near-singular (condition ~ inf) [v0]"}
+        for k, sample in enumerate(samples):
+            s = batch.at(k)
+            assert sample["t"] == s.t
+            if k in errors:
+                assert sample == {"t": s.t, "residual": None,
+                                  "error": errors[k]}
+                with pytest.raises(NearSingularError) as alone:
+                    lax_residual_symmetric(s)
+                assert str(alone.value) == errors[k]
+            else:
+                scale = max(1.0, s.v0.norm() + s.v1.norm() + s.v2.norm())
+                assert sample["residual"] == \
+                    lax_residual_symmetric(s).norm() / scale
 
     def test_normalize_needs_alpha_sum_two(self, tmp_path):
         code = run(["symmetric", "--alpha0", "0", "--alpha1", "0",

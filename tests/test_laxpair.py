@@ -7,6 +7,7 @@ from ncpain.integrators import rk4_step
 from ncpain.ring import MatrixElement, anticommutator, random_invertible
 from ncpain.grid import GridFunction
 from ncpain.moyal import MoyalPolynomial
+from ncpain.quasidet import BlockMatrix
 from ncpain.laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A,
                             build_B, build_L, build_P, first_integral,
                             first_integral_drift, integrate_symmetric,
@@ -258,6 +259,29 @@ class TestSymmetricSystem:
             res = lax_residual_symmetric(s, rhs=perturbed)
             assert res.norm() == pytest.approx(eps, rel=1e-9)
 
+    @pytest.mark.parametrize("batch", [None, 4], ids=["single", "batched"])
+    def test_block_wise_residual_is_the_full_matrix_one(self, rng, batch):
+        # The residual from the three 2x2 blocks against the literal
+        # L_t - (P L - L P) of the 6x6 matrices, bit for bit.
+        for d in (1, 2, 3):
+            shape = (d, d) if batch is None else (batch, d, d)
+            v0, v1 = (MatrixElement(rng.standard_normal(shape)
+                                    + 1j * rng.standard_normal(shape))
+                      for _ in range(2))
+            s = SymState(v0, v1, gaussian_element(rng, d), 0.3 - 0.2j, 1.1)
+            zero = v0.zero_like()
+            rows = [[zero] * 6 for _ in range(6)]
+            for b, field_t in enumerate(symmetric_rhs(s)):
+                rows[2 * b + 1][2 * b] = -field_t
+            ell, pee = build_L(s), build_P(s)
+            full = BlockMatrix(rows) - (pee @ ell - ell @ pee)
+            res = lax_residual_symmetric(s)
+            for i in range(6):
+                for j in range(6):
+                    got, want = (np.broadcast_to(m.entry(i, j).data, shape)
+                                 for m in (res, full))
+                    assert got.tobytes() == want.tobytes()
+
 
 def star_poly(rng, degree, theta=0.3, cap=16):
     return MoyalPolynomial(
@@ -389,7 +413,32 @@ class TestFlow:
         f0 = first_integral(flow.states[0])
         expected = max((first_integral(s) - f0).norm() for s in flow.states)
         assert expected > 0.0
-        assert first_integral_drift(flow.states) == expected
+        assert first_integral_drift(flow.path) == expected
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_states_are_the_views_of_the_path(self, d):
+        rng = np.random.default_rng(11 + d)
+        s0 = SymState(*(random_invertible(rng, d, scale=0.5)
+                        for _ in range(3)), 0.5 - 0.1j, 1.5, 0.25)
+        flow = integrate_symmetric(s0, 0.75, 1e-2)
+        path = flow.path
+        assert path.v0.data.shape == (51, d, d)
+        assert path.v0.data.base is path.v2.data.base
+        assert path.v0.data.base.shape == (51, 3, d, d)
+        # Reading the path builds no list of per-state elements.
+        first_integral_drift(path)
+        assert "states" not in vars(flow)
+        assert len(flow.states) == len(path.t) == 51
+        for i, s in enumerate(flow.states):
+            assert (s.alpha0, s.alpha1) == (s0.alpha0, s0.alpha1)
+            assert type(s.t) is float and s.t == s0.t + i * 1e-2
+            assert s.t == path.t[i]
+            for el, batch in zip((s.v0, s.v1, s.v2),
+                                 (path.v0, path.v1, path.v2)):
+                assert el.data.shape == (d, d)
+                assert el.data.tobytes() == batch.data[i].tobytes()
+                assert np.shares_memory(el.data, batch.data)
+        assert flow.states is flow.states
 
     def test_blowup_truncation(self):
         # steep data drives v2 into a finite-time pole
@@ -504,7 +553,7 @@ class TestReduction:
     def test_normalized_scalar_trajectory(self):
         flow = self._normalized_flow()
         assert not flow.truncated
-        residual = reduction_check(flow.states)
+        residual = reduction_check(flow.path)
         assert residual.sup_norm() <= 1e-5
 
     def test_normalized_matrix_trajectory(self):
@@ -514,15 +563,15 @@ class TestReduction:
             SymState(v0, MatrixElement.eye(2), v2, 0.5, 1.5, 0.0))
         flow = integrate_symmetric(s0, 1.0, 1e-3)
         assert not flow.truncated
-        assert reduction_check(flow.states).sup_norm() <= 1e-5
+        assert reduction_check(flow.path).sup_norm() <= 1e-5
 
     def test_unnormalized_control_does_not_vanish(self):
         s0 = SymState(MatrixElement.scalar(0.1), MatrixElement.scalar(1.0),
                       MatrixElement.scalar(0.3), 0.5, 1.5, 0.0)
         flow = integrate_symmetric(s0, 1.0, 1e-3)
         normalized = self._normalized_flow()
-        bad = reduction_check(flow.states).sup_norm()
-        good = reduction_check(normalized.states).sup_norm()
+        bad = reduction_check(flow.path).sup_norm()
+        good = reduction_check(normalized.path).sup_norm()
         assert bad > 1e3 * good
 
     def test_constant_shift_knob_compensates(self):
@@ -531,7 +580,7 @@ class TestReduction:
                       MatrixElement.scalar(0.3), 0.5, 1.5, 0.0)
         k = complex(first_integral(s0).data[0, 0]).real
         flow = integrate_symmetric(s0, 1.0, 1e-3)
-        residual = reduction_check(flow.states, integration_constant=k)
+        residual = reduction_check(flow.path, integration_constant=k)
         assert residual.sup_norm() <= 1e-5
 
     def test_alpha_sum_precondition(self):
@@ -539,7 +588,7 @@ class TestReduction:
                       MatrixElement.scalar(0.0), 0.0, 0.0, 0.0)
         flow = integrate_symmetric(s0, 0.1, 1e-3)
         with pytest.raises(ValueError):
-            reduction_check(flow.states)
+            reduction_check(flow.path)
 
 
 class TestBacklund:
@@ -567,9 +616,7 @@ class TestBacklund:
             alpha0, alpha1))
         flow = integrate_symmetric(s0, 0.5, h)
         assert not flow.truncated
-        v0, v1, v2 = (MatrixElement([getattr(s, name).data
-                                     for s in flow.states])
-                      for name in ("v0", "v1", "v2"))
+        v0, v1, v2 = flow.path.v0, flow.path.v1, flow.path.v2
         images = {"plus": -v2 + alpha1 * v1.inv(),
                   "minus": -v2 - alpha0 * v0.inv(),
                   # the wrong pairing: alpha1 with v0
@@ -606,3 +653,73 @@ class TestBacklund:
             diff = (batch.v2 + 2 * rho - image).point_norms()
             scale = batch.v2.point_norms() + image.point_norms()
             assert np.all(diff <= 1e-13 * scale)
+
+
+class TestDifferentialBacklund:
+    """The differential Backlund maps on matrix solutions of P-II.
+
+    For any solution v of v'' = 2 v^3 - 4 z v + C with C central,
+    v+ = -v + (C + 2) (v' - v^2 + 2z)^-1 solves P-II at C + 4 and
+    v- = -v + (2 - C) (v' + v^2 - 2z)^-1 at C - 4.  The solution comes
+    from scipy's DOP853, independent of this package's integrators, and
+    the images are scored with the centred stencil of pii_residual_grid.
+    """
+
+    H = 5e-4     # the finest grid; the coarser ones take every 2nd, 4th
+    Z_END = 0.5
+    IMAGE_BOUND = 20.0
+
+    def solution(self, d, c, rng):
+        """(z, v, v') on [0, Z_END], from random complex data whose two
+        images stay below IMAGE_BOUND there (a pole would hide the order
+        of the stencil)."""
+        integrate = pytest.importorskip("scipy.integrate")
+        zs = self.H * np.arange(round(self.Z_END / self.H) + 1)
+        eye = np.eye(d)
+
+        def rhs(z, y):
+            v, w = y.reshape(2, d, d)
+            return np.concatenate([w, 2 * v @ v @ v - 4 * z * v + c * eye],
+                                  axis=None)
+
+        while True:
+            y0 = 0.5 * (rng.standard_normal(2 * d * d)
+                        + 1j * rng.standard_normal(2 * d * d))
+            sol = integrate.solve_ivp(rhs, (0.0, zs[-1]), y0,
+                                      method="DOP853", rtol=1e-13,
+                                      atol=1e-13, t_eval=zs)
+            assert sol.success
+            v, w = (MatrixElement(f) for f in
+                    sol.y.T.reshape(len(zs), 2, d, d).swapaxes(0, 1))
+            z = MatrixElement.scalars(zs, d)
+            images = self.images(v, w, z, c, 2.0)
+            if max(im.point_norms().max() for im in images) < \
+                    self.IMAGE_BOUND:
+                return v, w, z
+
+    @staticmethod
+    def images(v, w, z, c, two):
+        return (-v + (c + two) * (w - v * v + 2 * z).inv(),
+                -v + (two - c) * (w + v * v - 2 * z).inv())
+
+    def sups(self, image, target):
+        """Residual sup norms at h = 4H, 2H and H."""
+        return [pii_residual_grid(GridFunction(
+            0.0, step * self.H, MatrixElement(image.data[::step])),
+            target).sup_norm() for step in (4, 2, 1)]
+
+    @pytest.mark.parametrize("c", [0.7, -1.3 + 0.4j], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_images_solve_pii_at_c_plus_minus_four(self, d, c):
+        v, w, z = self.solution(d, c, np.random.default_rng([d, 17]))
+        for image, control, target in zip(self.images(v, w, z, c, 2.0),
+                                          self.images(v, w, z, c, 2.1),
+                                          (c + 4, c - 4)):
+            coarse, mid, fine = self.sups(image, target)
+            # O(h^2) of the centred stencil: a ratio of 4 per halving of h.
+            assert 3.5 <= coarse / mid <= 4.5
+            assert 3.5 <= mid / fine <= 4.5
+            # The control, 2.1 in place of 2, converges to nothing.
+            coarse, _, flat = self.sups(control, target)
+            assert 0.9 <= coarse / flat <= 1.1
+            assert flat > 100 * fine
