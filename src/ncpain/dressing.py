@@ -16,9 +16,12 @@ eigenfunctions of the k-th chain point.  Those eigenfunctions are
 assembled two independent ways: literal iteration of the formulas above,
 and boxed-corner quasideterminants of the alternating chi/phi arrays
 with gamma-power row weights.  Both routes are implemented and
-cross-checked.  The dressing parameter gamma of each chain point is
-identified with the spectral parameter at which its eigenfunctions were
-integrated.
+cross-checked.  The literal route inverts chi and phi of each stage's
+point once and applies phi chi^-1 and chi phi^-1 to every later point;
+the products associate as in the formulas above, so its bits are those
+of applying the one-step maps one pair at a time.  The dressing
+parameter gamma of each chain point is identified with the spectral
+parameter at which its eigenfunctions were integrated.
 """
 
 from __future__ import annotations
@@ -145,12 +148,18 @@ def dt_eigenfunctions(gamma0: complex, chi0: GridFunction, phi0: GridFunction,
     for other in (phi0, chi1, phi1):
         if not chi0.same_grid(other):
             raise ValueError("all eigenfunction grids must match")
-    chi1_inv = _inv_at(chi1, "chi1")
-    phi1_inv = _inv_at(phi1, "phi1")
-    chi_out = gamma0 * phi0.batch \
-        - gamma1 * (phi1.batch * chi1_inv * chi0.batch)
-    phi_out = gamma0 * chi0.batch \
-        - gamma1 * (chi1.batch * phi1_inv * phi0.batch)
+    forward = phi1.batch * _inv_at(chi1, "chi1")
+    return _transform(gamma0, chi0, phi0, gamma1, forward,
+                      chi1.batch * _inv_at(phi1, "phi1"))
+
+
+def _transform(gamma0: complex, chi0: GridFunction, phi0: GridFunction,
+               gamma1: complex, forward: MatrixElement,
+               backward: MatrixElement) -> tuple[GridFunction, GridFunction]:
+    # dt_eigenfunctions given the factors phi1 chi1^-1 and chi1 phi1^-1 of
+    # the point it dresses with; products associate from the left, as there.
+    chi_out = gamma0 * phi0.batch - gamma1 * (forward * chi0.batch)
+    phi_out = gamma0 * chi0.batch - gamma1 * (backward * phi0.batch)
     return (GridFunction(chi0.z0, chi0.h, chi_out),
             GridFunction(chi0.z0, chi0.h, phi_out))
 
@@ -223,18 +232,24 @@ def iterated_darboux(chain: DressingChain, n: int) -> GridFunction:
     """v[n] by literal iteration: dress, transform remaining eigenfunctions.
 
     Independent of the quasideterminant route; used to cross-check it.
-    Only the first n chain points are used and transformed.
+    Only the first n chain points are used and transformed.  Stage k
+    inverts chi and phi of its point once and reuses phi chi^-1 and
+    chi phi^-1 for every later point, with the bits and refusals of
+    darboux_once and dt_eigenfunctions.
     """
     _check_fold(chain, n)
     v = chain.seed
     current = list(chain.points[:n])
     for k in range(n):
         p = current[k]
-        v = darboux_once(v, p)
+        forward = p.phi.batch * _inv_at(p.chi, "chi")
+        v = _dress(v, forward)
+        if k + 1 < n:
+            backward = p.chi.batch * _inv_at(p.phi, "phi1")
         for j in range(k + 1, n):
             q = current[j]
-            current[j] = SpectralPoint(q.gamma, *dt_eigenfunctions(
-                q.gamma, q.chi, q.phi, p.gamma, p.chi, p.phi))
+            current[j] = SpectralPoint(q.gamma, *_transform(
+                q.gamma, q.chi, q.phi, p.gamma, forward, backward))
     return v
 
 

@@ -29,7 +29,8 @@ import numpy as np
 from .grid import GridFunction, require_stencil_length
 from .integrators import rk4_path
 from .quasidet import BlockMatrix
-from .ring import (MatrixElement, NearSingularError, RingElement, _wrap,
+from .ring import (MatrixElement, NearSingularError, RingElement,
+                   _certified_inverse, _squared_norms, _wrap,
                    anticommutator)
 
 NORMALIZED_ALPHA_SUM = 2.0
@@ -306,7 +307,7 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
     if steps < 1 or abs(steps * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError("t range is not an integral number of steps")
 
-    one = s0.v0.one_like()
+    one, d = s0.v0.one_like(), s0.v0.d
     a0, a1 = (s0.alpha0 * one).data, (s0.alpha1 * one).data
 
     def rhs(t, y):
@@ -320,9 +321,17 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
         return out,
 
     def monitor(times, ys):
-        # One batched SVD per block; rows are states, columns v0, v1, v2.
-        smin, smax = (a.reshape(-1, 3) for a in MatrixElement(
-            np.concatenate([y for y, in ys])).point_extremes())
+        Y = np.concatenate([y for y, in ys])
+        # A block passes on its norms and the inverses of v0 and v1 when
+        # they certify every state (norms below 1e99 leave room for their
+        # rounding against the SVD's 1e100 below).
+        if (_squared_norms(Y) < 1e198).all() and _certified_inverse(
+                Y.reshape(-1, 3, d, d)[:, :2], min_condition,
+                saturate=True)[1].all():
+            return None
+        # Otherwise one batched SVD; rows are states, columns v0, v1, v2.
+        smin, smax = (a.reshape(-1, 3)
+                      for a in MatrixElement(Y).point_extremes())
         # Invertibility margin of v0 and v1: the smallest singular value,
         # saturated so tiny well-conditioned scalars are still flagged.
         margin = smin[:, :2] / np.maximum(smax[:, :2], 1.0)

@@ -18,6 +18,13 @@ one position per grid point or spectral parameter: each operation acts on
 every position and broadcasts plain (d, d) operands, so one evaluation of a
 formula covers a whole grid.  A refused batch inverse lists every failing
 position in ``NearSingularError.indices``.
+
+``inv`` refuses a position when smin/smax <= COND_FLOOR.  It computes the
+inverse first: since smin >= 1/|A^-1|_F and smax <= |A|_F, the two norms
+certify every position whose condition number is at most about 1e6, and a
+batched SVD decides only the positions left over, as it decided all of
+them before.  Norms of entries past 2**500 are summed from entries scaled
+by a power of two, so a norm overflows only past the float range.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ import numpy as np
 
 # Relative conditioning floor: inverses are refused below smin/smax = 1e-12.
 COND_FLOOR = 1e-12
+# A norm is summed from scaled entries once an entry exceeds _HUGE, where
+# squares may overflow.
+_HUGE = 2.0 ** 500
 
 _SCALAR_TYPES = (int, float, complex, np.integer, np.floating, np.complexfloating)
 
@@ -229,12 +239,23 @@ class MatrixElement(RingElement):
         return _wrap(-self.data)
 
     def inv(self):
-        smin, smax = self.singular_extremes()
-        if smin <= COND_FLOOR * smax or smax == 0.0:
-            raise self._refusal()
-        return _wrap(np.linalg.inv(self.data))
+        inverse, certified = _certified_inverse(self.data, COND_FLOOR)
+        if not certified.all():
+            # The SVD test decides the positions the certificate left open.
+            rest = np.flatnonzero(~certified)
+            undecided = MatrixElement(
+                self.data.reshape(-1, self.d, self.d)[rest])
+            smin, smax = undecided.singular_extremes()
+            if smin <= COND_FLOOR * smax or smax == 0.0:
+                raise undecided._refusal(
+                    rest if self.data.ndim == 3 else None)
+            if inverse is None:  # accepted, yet LAPACK finds it singular
+                inverse = np.linalg.inv(self.data)
+        return _wrap(inverse)
 
-    def _refusal(self) -> NearSingularError:
+    def _refusal(self, positions) -> NearSingularError:
+        # ``positions`` maps this batch's positions to the caller's, or is
+        # None for an unbatched caller.
         smin, smax = self.point_extremes()
         bad = np.flatnonzero((smin <= COND_FLOOR * smax) | (smax == 0.0))
         low, high = float(smin.flat[bad[0]]), float(smax.flat[bad[0]])
@@ -242,16 +263,19 @@ class MatrixElement(RingElement):
         return NearSingularError(
             f"matrix is near-singular (condition ~ {cond:.3e})",
             condition=cond,
-            indices=tuple(bad.tolist()) if self.data.ndim == 3 else None)
+            indices=None if positions is None
+            else tuple(positions[bad].tolist()))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        with np.errstate(over="ignore"):  # summed again by _rescale_huge
+            norm = np.linalg.norm(self.data)
+        return float(_rescale_huge(self.data.reshape(1, -1),
+                                   np.array([norm]))[0])
 
     def point_norms(self) -> np.ndarray:
         """Frobenius norm of each batch position, as ``norm`` computes it."""
         flat = self.data.reshape(*self.data.shape[:-2], -1)
-        return np.sqrt(np.vecdot(flat.real, flat.real)
-                       + np.vecdot(flat.imag, flat.imag))
+        return _rescale_huge(flat, _frobenius(flat))
 
     def one_like(self):
         return MatrixElement.eye(self.data.shape[-1])
@@ -300,6 +324,68 @@ def _wrap(arr: np.ndarray) -> MatrixElement:
     arr.setflags(write=False)
     el.data = arr
     return el
+
+
+def _frobenius(flat: np.ndarray) -> np.ndarray:
+    # Summed over the strided real and imaginary views, as np.linalg.norm
+    # sums a complex array, so an unbatched norm keeps its bits.  A sum that
+    # overflows is summed again by _rescale_huge.
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.vecdot(flat.real, flat.real)
+                       + np.vecdot(flat.imag, flat.imag))
+
+
+def _rescale_huge(flat: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``norms``, the Frobenius norms along the last axis of ``flat``, with
+    each row whose largest modulus exceeds _HUGE summed again from the row
+    times an exact power of two, which is divided back out: such a norm is
+    inf only when it is past the float range.  Other rows keep their bits."""
+    rows = np.flatnonzero(norms > _HUGE)
+    if not rows.size:
+        return norms
+    x = flat.reshape(-1, flat.shape[-1])[rows]
+    peak = np.abs(x).max(axis=-1)
+    huge = (peak > _HUGE) & (peak < np.inf)
+    exp = np.frexp(peak[huge])[1]
+    out = np.array(norms)
+    out.flat[rows[huge]] = np.ldexp(
+        _frobenius(x[huge] * np.ldexp(1.0, -exp)[:, None]), exp)
+    return out[()]
+
+
+def _squared_norms(data: np.ndarray) -> np.ndarray:
+    """|A|_F^2 of each batch position, unscaled: inf past about 1e154."""
+    flat = data.reshape(*data.shape[:-2], -1)
+    return np.vecdot(flat, flat).real
+
+
+def _certified_inverse(data: np.ndarray, floor: float,
+                       saturate: bool = False):
+    """``np.linalg.inv(data)`` (None where it raised) and the mask of batch
+    positions that its norms prove to be conditioned well past ``floor``.
+
+    For an invertible A, smin >= 1/|A^-1|_F and smax <= |A|_F, so
+    1/(|A|_F |A^-1|_F) bounds smin/smax from below; with ``saturate`` the
+    bound is 1/(|A^-1|_F max(|A|_F, 1)), of smin/max(smax, 1).  A position
+    is certified when its bound is at least max(2 floor, 1e-6).  A bound
+    of 1e-6 caps the condition number near 1e6, so the computed inverse,
+    and with it the bound, is off by far less than the factor 2; the SVD
+    test would pass the position too.  A squared norm that overflows
+    certifies nothing.  One that underflows needs no guard: since
+    |A|_F |A^-1|_F >= d, the other is then near 2**1000 or more, and if it
+    is finite the condition number is below 2**12.  Only uncertified
+    positions need the SVD to decide them.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            inverse = np.linalg.inv(data)
+        except np.linalg.LinAlgError:
+            return None, np.zeros(data.shape[:-2], dtype=bool)
+        a2, b2 = _squared_norms(data), _squared_norms(inverse)
+        if saturate:
+            a2 = np.maximum(a2, 1.0)
+        certified = a2 * b2 <= max(2.0 * floor, 1e-6) ** -2
+    return inverse, certified
 
 
 def commutator(a: RingElement, b: RingElement) -> RingElement:

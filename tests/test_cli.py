@@ -177,9 +177,26 @@ class TestZeroCurvatureCommand:
     def test_zero_lambda_is_usage_error(self, tmp_path):
         assert run(["zc", "--lambda", "0"], tmp_path) == 1
 
+    @pytest.mark.parametrize("C", ["1e200", "1e300"])
+    def test_huge_C_with_a_representable_scale_runs(self, C, tmp_path,
+                                                    capsys):
+        # |A| reaches 5e199 (5e299): its entry norms are scaled before they
+        # are squared, so |A| |B| is finite and the identities hold to
+        # rounding.  1/z solves P-II only at C = 4, so "full" is about 1.
+        code = run(["zc", "--seed-kind", "rational", "--lambda", "1",
+                    "--C", C], tmp_path)
+        _, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        overall = load_report(tmp_path, "zc_report.json")["results"][
+            "overall"]
+        for key in ("e11", "e22", "e12_identity", "e21_identity"):
+            assert 0.0 <= overall[key] <= 1e-12
+        assert 0.5 <= overall["full"] <= 1.0
+
     @pytest.mark.parametrize("argv, lam", [
-        # |A| |B| overflows, so every relative residual would read 0.
-        (["--lambda", "1", "--C", "1e300"], "(1+0j)"),
+        # |A| |B| (about 2.2e308) overflows, so every relative residual
+        # would read 0.
+        (["--lambda", "1", "--C", "1e308"], "(1+0j)"),
         # lam ** 2 raises OverflowError in Python complex arithmetic.
         (["--lambda", "1e200"], "(1e+200+0j)"),
     ])

@@ -5,7 +5,8 @@ from ncpain.ring import MatrixElement, NearSingularError
 from ncpain.quasidet import BlockMatrix, determinant_ratio, quasideterminant
 from ncpain.grid import GridFunction
 from ncpain.laxpair import build_B
-from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
+from ncpain.dressing import (DressingChain, SpectralPoint, _masked,
+                             darboux_once,
                              dt_eigenfunctions, integrate_linear,
                              iterated_darboux, masked_iterated, masked_n_fold,
                              n_fold_darboux, quasidet_eigenfunctions,
@@ -364,6 +365,83 @@ class TestNFold:
         p1 = random_point(rng, 1j, n=8)
         with pytest.raises(ValueError):
             DressingChain((p1,), random_grid(rng, 2, n=9))
+
+
+def literal_iterated(chain, n):
+    """v[n] as the plain composition of darboux_once and dt_eigenfunctions,
+    each inverting chi and phi of the dressing point for itself."""
+    v = chain.seed
+    current = list(chain.points[:n])
+    for k in range(n):
+        p = current[k]
+        v = darboux_once(v, p)
+        for j in range(k + 1, n):
+            q = current[j]
+            current[j] = SpectralPoint(q.gamma, *dt_eigenfunctions(
+                q.gamma, q.chi, q.phi, p.gamma, p.chi, p.phi))
+    return v
+
+
+class TestIteratedRoute:
+    """iterated_darboux inverts each stage's chi and phi once; it must give
+    the bits, the refusals and the masks of the literal composition."""
+
+    GAMMAS = (1j, 2j, 0.5 - 0.5j, -1.5 + 0.25j)
+
+    def _chain(self, rng, n=12):
+        points = tuple(random_point(rng, g, d=3, n=n) for g in self.GAMMAS)
+        return DressingChain(points, random_grid(rng, 3, n))
+
+    def _refused(self, route, chain, n):
+        with pytest.raises(NearSingularError) as err:
+            route(chain, n)
+        return str(err.value), err.value.condition, err.value.indices
+
+    def test_noncommuting_chain_matches_the_composition(self, rng):
+        chain = self._chain(rng)
+        p = chain.points[0]
+        assert (p.phi.batch * p.chi.batch - p.chi.batch * p.phi.batch
+                ).norm() > 1.0  # genuinely noncommuting data
+        for n in range(5):
+            assert iterated_darboux(chain, n).batch.data.tobytes() \
+                == literal_iterated(chain, n).batch.data.tobytes()
+
+    def test_refusals_and_masks_match_the_composition(self, rng):
+        # Grid point 3: chi of point 1 is zero, refused at stage 1 ("chi").
+        # Grid point 5: phi of point 1 is rank one, refused at stage 1 once
+        # later points remain ("phi1").  Grid point 8: every eigenfunction
+        # is a multiple of the identity chosen so that the stage-2 chi,
+        # 2i (0.5) - 1i (1)(1)^-1 (1), is exactly zero.
+        chain = self._chain(rng)
+        (p1, p2, p3, p4), seed = chain.points, chain.seed
+
+        def edit(f, k, value):
+            data = f.batch.data.copy()
+            data[k] = value
+            return GridFunction(f.z0, f.h, MatrixElement(data))
+
+        eye = np.eye(3)
+        rank_one = np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5])
+        p1 = SpectralPoint(p1.gamma, edit(edit(p1.chi, 3, 0.0), 8, eye),
+                           edit(edit(p1.phi, 5, rank_one), 8, eye))
+        p2 = SpectralPoint(p2.gamma, edit(p2.chi, 8, eye),
+                           edit(p2.phi, 8, 0.5 * eye))
+        chain = DressingChain((p1, p2, p3, p4), seed)
+        for n in range(5):
+            if n >= 1:
+                assert self._refused(iterated_darboux, chain, n) \
+                    == self._refused(literal_iterated, chain, n)
+            got, mask = masked_iterated(chain, n)
+            expected, expected_mask = _masked(
+                lambda sub: literal_iterated(sub, n),
+                DressingChain(chain.points[:n], seed),
+                np.ones(len(seed), dtype=bool))
+            assert got.batch.data.tobytes() == expected.batch.data.tobytes()
+            assert mask.tolist() == expected_mask.tolist()
+        refused = {1: [3], 2: [3, 5, 8], 3: [3, 5, 8], 4: [3, 5, 8]}
+        for n, points in refused.items():
+            assert np.flatnonzero(~masked_iterated(chain, n)[1]).tolist() \
+                == points
 
 
 class TestMaskedPipeline:

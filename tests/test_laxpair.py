@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from ncpain import laxpair
 from ncpain.integrators import rk4_step
-from ncpain.ring import MatrixElement, anticommutator, random_invertible
+from ncpain.ring import (MatrixElement, _certified_inverse, anticommutator,
+                         random_invertible)
 from ncpain.grid import GridFunction
 from ncpain.moyal import MoyalPolynomial
 from ncpain.quasidet import BlockMatrix
@@ -541,6 +543,55 @@ class TestBlockMonitor:
             assert s.t == s0.t + i * h
             for el, ref in zip((s.v0, s.v1, s.v2), fields):
                 assert el.data.tobytes() == ref.data.tobytes()
+
+
+class TestCertifiedMonitor:
+    """A block passes the monitor on its norms and the inverses of v0 and
+    v1 when they certify it; the SVD runs only on the other blocks.  The
+    reference is the same flow with every block sent to the SVD."""
+
+    @pytest.mark.parametrize("min_condition", [0.0, 1e-12, 1e-3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_svd_monitor(self, d, min_condition, monkeypatch):
+        starts = []
+        for seed in range(8):
+            rng = np.random.default_rng([seed, d])
+            starts.append(SymState(*(random_invertible(rng, d, scale=0.5)
+                                     for _ in range(3)), 0.5 - 0.2j, 1.5))
+        # A small but well-conditioned v0 that stays small (alpha0 = 0):
+        # its margin saturates, as smin / max(smax, 1), and is refused at
+        # 1e-3.
+        starts.append(SymState(1e-4 * starts[0].v0, starts[0].v1,
+                               starts[0].v2, 0.0, 1.5))
+        passed = []
+
+        def spy(data, floor, saturate=False):
+            inverse, certified = _certified_inverse(data, floor, saturate)
+            passed.append(bool(certified.all()))
+            return inverse, certified
+
+        def nothing_certified(data, floor, saturate=False):
+            return None, np.zeros(data.shape[:-2], dtype=bool)
+
+        flows, references = [], []
+        for patch, out in ((spy, flows), (nothing_certified, references)):
+            monkeypatch.setattr(laxpair, "_certified_inverse", patch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out.extend(integrate_symmetric(s0, 4.0, 0.01, min_condition)
+                           for s0 in starts)
+        for flow, ref in zip(flows, references):
+            assert flow.reason == ref.reason
+            assert len(flow.path.t) == len(ref.path.t)
+            for name in ("v0", "v1", "v2"):
+                assert getattr(flow.path, name).data.tobytes() \
+                    == getattr(ref.path, name).data.tobytes()
+        # Most blocks pass on the certificate.  A truncation comes from the
+        # SVD: seed 2 is truncated at d = 3 (not finite, then near-singular
+        # at 1e-12 and 1e-3) and at d = 2 with min_condition 1e-3.
+        assert passed.count(True) >= 0.8 * len(passed)
+        assert flows[2].truncated == (d == 3 or min_condition == 1e-3)
+        assert flows[-1].truncated == (min_condition == 1e-3)
 
 
 class TestReduction:

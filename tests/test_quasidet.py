@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,8 +56,8 @@ class TestBlockArithmetic:
     @pytest.mark.parametrize("d", [1, 3])
     def test_point_norms_are_the_norm_of_each_position(self, rng, d):
         # Nine random positions: every third scaled past 1e154, where the
-        # entry norms overflow, and every third near it, where the sum of
-        # their squares may overflow.
+        # plain sums of squares overflow, and every third near it, where
+        # the sum of the entry norms' squares may overflow.
         scales = np.resize([1.0, 1e160, 1e153], 9)[:, None, None]
         # Then 20 positions whose entries have norms x with x ** 2 != x * x,
         # so only norm()'s own Python squares give its bits.
@@ -83,7 +85,13 @@ class TestBlockArithmetic:
                 for e in row] for row in m.entries]).norm()
                 for k in range(29)]
         assert [x.hex() for x in got] == [x.hex() for x in expected]
-        assert all(np.isfinite(got[0:9:3])) and np.isinf(got[1:9:3]).all()
+        # Every norm is finite, and math.hypot, which scales for itself,
+        # agrees with the scaled sums past 1e154 too.
+        parts = np.concatenate([np.broadcast_to(e.data, (29, d, d)).reshape(
+            29, -1) for row in m.entries for e in row], axis=1)
+        reference = [math.hypot(*p.real, *p.imag) for p in parts]
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, reference, rtol=1e-14, atol=0)
 
     def test_subtraction_needs_the_same_shape(self):
         one = MatrixElement.eye(2)

@@ -1,3 +1,4 @@
+import math
 import operator
 
 import numpy as np
@@ -7,9 +8,9 @@ import hypothesis.strategies as hst
 
 from ncpain.grid import GridFunction
 from ncpain.moyal import MoyalPolynomial
-from ncpain.ring import (DimensionMismatchError, MatrixElement,
-                         NearSingularError, anticommutator,
-                         commutator, random_invertible)
+from ncpain.ring import (COND_FLOOR, DimensionMismatchError, MatrixElement,
+                         NearSingularError, _certified_inverse,
+                         anticommutator, commutator, random_invertible)
 
 from conftest import gaussian_element
 
@@ -134,6 +135,114 @@ class TestNorm:
     def test_submultiplicative(self, rng):
         a, b = gaussian_element(rng, 4), gaussian_element(rng, 4)
         assert (a * b).norm() <= a.norm() * b.norm() * (1 + 1e-12)
+
+    def test_huge_entries_are_scaled_and_the_rest_keep_their_bits(self, rng):
+        # Positions past 2**500 are summed from entries scaled by a power of
+        # two: finite up to the float range, and equal to math.hypot, which
+        # scales for itself.  The other positions are the plain sum.
+        noise = (rng.standard_normal((6, 3, 3))
+                 + 1j * rng.standard_normal((6, 3, 3)))
+        scales = np.array([1.0, 1e200, 1e-3, 1e300, 2.0 ** 499, 1e150])
+        data = scales[:, None, None] * noise
+        batch = MatrixElement(data)
+        got = batch.point_norms()
+        reference = [math.hypot(*x.real.ravel(), *x.imag.ravel())
+                     for x in data]
+        np.testing.assert_allclose(got, reference, rtol=1e-15, atol=0)
+        for k in (0, 2, 4, 5):
+            flat = data[k].ravel()
+            plain = np.sqrt(flat.real @ flat.real + flat.imag @ flat.imag)
+            assert got[k] == plain == MatrixElement(data[k]).norm()
+        assert [MatrixElement(x).norm() for x in data] == got.tolist()
+        assert batch.norm() == pytest.approx(math.hypot(*reference),
+                                             rel=1e-15)
+        with np.errstate(over="ignore"):
+            assert MatrixElement(np.full((2, 2), 1e308)).norm() == np.inf
+        assert MatrixElement([[np.inf, 1.0]] * 2).norm() == np.inf
+
+
+def svd_first_inverse(el):
+    """``MatrixElement.inv`` as written before the certificate: the SVD test
+    of every position first, then ``np.linalg.inv``."""
+    smin, smax = el.singular_extremes()
+    if smin <= COND_FLOOR * smax or smax == 0.0:
+        smin, smax = el.point_extremes()
+        bad = np.flatnonzero((smin <= COND_FLOOR * smax) | (smax == 0.0))
+        low, high = float(smin.flat[bad[0]]), float(smax.flat[bad[0]])
+        cond = float("inf") if low == 0.0 else high / low
+        raise NearSingularError(
+            f"matrix is near-singular (condition ~ {cond:.3e})",
+            condition=cond,
+            indices=tuple(bad.tolist()) if el.data.ndim == 3 else None)
+    return MatrixElement(np.linalg.inv(el.data))
+
+
+def _outcome(inverse, data):
+    try:
+        return "inverse", inverse(MatrixElement(data)).data.tobytes()
+    except NearSingularError as exc:
+        return "refused", str(exc), exc.condition, exc.indices
+
+
+def _unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+def _conditioned(rng, d, cond, scale=1.0):
+    """U diag(s) V^H with s from 1 down to 1/cond, times ``scale``."""
+    s = scale * np.geomspace(1.0, 1.0 / cond, d)
+    return (_unitary(rng, d) * s) @ _unitary(rng, d).conj().T
+
+
+def _special_positions(rng, d):
+    zero = np.zeros((d, d), complex)
+    deficient = rng.standard_normal((d, d)) + 0j
+    deficient[-1] = deficient[0]  # two equal rows; d = 1 is the zero
+    nan, inf = (rng.standard_normal((d, d)) + 0j for _ in range(2))
+    nan[0, -1] = np.nan
+    inf[-1, 0] = np.inf
+    return {"zero": zero, "deficient": deficient if d > 1 else zero,
+            "nan": nan, "inf": inf,
+            "denormal": 1e-310 * np.eye(d, dtype=complex),
+            "huge": _conditioned(rng, d, 10.0, scale=1e200),
+            # Squared norms that underflow or overflow.
+            "tiny-ill": _conditioned(rng, d, 1e100, scale=1e-200),
+            "huge-ill": _conditioned(rng, d, 1e100, scale=1e200),
+            # At d = 2 the norms' bound equals smin/smax = COND_FLOOR here,
+            # which the SVD test refuses: certifying needs its margin.
+            "at-the-floor": np.diag([1.0] * (d - 1) + [COND_FLOOR]) + 0j}
+
+
+@pytest.mark.filterwarnings("error")
+class TestCertifiedInverse:
+    """``inv`` certifies well-conditioned positions from the inverse and
+    the norms, and runs the SVD test only on the rest: it must accept,
+    refuse and report exactly as the SVD-first inverse does."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_matches_the_svd_first_inverse(self, rng, d):
+        sweep = [_conditioned(rng, d, cond, scale=10.0 ** rng.uniform(-8, 8))
+                 for cond in np.logspace(0, 16, 33)]
+        specials = _special_positions(rng, d)
+        for data in sweep + list(specials.values()):
+            assert _outcome(MatrixElement.inv, data) \
+                == _outcome(svd_first_inverse, data)
+        well = np.stack(sweep[:20])  # condition numbers up to 1e9.5
+        batches = [np.stack(sweep), well, np.stack(sweep[::-1])]
+        for special in specials.values():
+            for k in (0, 7, 19):
+                batch = well.copy()
+                batch[k] = special
+                batches.append(batch)
+        for batch in batches:
+            assert _outcome(MatrixElement.inv, batch) \
+                == _outcome(svd_first_inverse, batch)
+        # Both routes are taken: the certificate decides the well
+        # conditioned positions, the SVD the rest.
+        _, certified = _certified_inverse(np.stack(sweep), COND_FLOOR)
+        assert certified[0] and (d == 1 or not certified.all())
 
 
 class TestRingAxioms:
