@@ -330,6 +330,13 @@ def _residual_stats(grid: GridFunction, mask: np.ndarray, c_val: complex
 def run_dressing(args):
     gammas = parse_complex_list(args.gamma)
     z0, h, n = parse_range(args.z)
+    # RK4 samples the seed between grid points too, so the whole range
+    # (up to parse_range's tolerance on its stop) must miss the pole.
+    z_end = z0 + (n - 1) * h
+    if args.seed != "zero" and \
+            z0 <= 0.0 <= z_end + 1e-9 * max(1.0, z_end - z0):
+        raise UsageError(f"--seed {args.seed} has a pole at z = 0, "
+                         f"inside --z {args.z}")
     c_val = parse_complex(args.C)
     seed_fn = _seed_evaluator(args.seed, args.d)
 

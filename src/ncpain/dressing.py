@@ -216,18 +216,6 @@ def _check_fold(chain: DressingChain, n: int):
         raise ValueError(f"fold count {n} outside 0..{len(chain.points)}")
 
 
-def n_fold_darboux(chain: DressingChain, n: int) -> GridFunction:
-    """v[n] = T_n ... T_1 v T_1 ... T_n at every grid point.
-
-    n = 0 returns the seed unchanged; n = 1 coincides with darboux_once.
-    """
-    _check_fold(chain, n)
-    v = chain.seed
-    for k in range(1, n + 1):
-        v = _dress(v, theta_factor(chain.points, k).batch)
-    return v
-
-
 def iterated_darboux(chain: DressingChain, n: int) -> GridFunction:
     """v[n] by literal iteration: dress, transform remaining eigenfunctions.
 
@@ -286,7 +274,8 @@ def _masked(route: Callable[[DressingChain], GridFunction],
 
 def masked_n_fold(chain: DressingChain, n: int
                   ) -> tuple[list[GridFunction], list[np.ndarray]]:
-    """All stages v[0..n] with per-stage validity masks.
+    """All stages v[k] = T_k ... T_1 v T_1 ... T_k, k = 0..n, with
+    per-stage validity masks; T_k is theta_factor(chain.points, k).
 
     Grid points where a stage factor hits a near-singular inverse are
     masked there and in every later stage (NaN fill); no exception

@@ -22,7 +22,7 @@ class GridFunction:
     at every grid point at once.  The constructor also takes a sequence of
     per-point (d, d) elements and stacks it.  ``grid[k]`` is the element at
     point k, ``grid[a:b]`` (or an index array) the batched element of those
-    points, and ``values`` the tuple of per-point elements.
+    points, and iterating a grid yields its per-point elements.
     """
 
     z0: float
@@ -48,10 +48,6 @@ class GridFunction:
 
     def __getitem__(self, k) -> MatrixElement:
         return MatrixElement(self.batch.data[k])
-
-    @property
-    def values(self) -> tuple[MatrixElement, ...]:
-        return tuple(MatrixElement(x) for x in self.batch.data)
 
     def z(self, k: int) -> float:
         return self.z0 + k * self.h

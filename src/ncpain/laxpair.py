@@ -165,17 +165,12 @@ def pii_residual_exact(v: RingElement, v_zz: RingElement, z,
             - _central(C, one))
 
 
-def pii_residual_grid(f: GridFunction, C: complex,
-                      z_shift: float = 0.0) -> GridFunction:
-    """Equation residual on interior points, v_zz by centred stencil.
-
-    ``z_shift`` offsets the independent variable; a trajectory whose
-    conserved combination equals a nonzero constant k solves the equation
-    in z = t + k/2, so passing z_shift = k/2 recovers a zero residual.
-    """
+def pii_residual_grid(f: GridFunction, C: complex) -> GridFunction:
+    """Equation residual on interior points, v_zz by centred stencil; z is
+    read from the grid."""
     require_stencil_length(f)
     inv_h2 = 1.0 / (f.h * f.h)
-    zs = f.zs() + z_shift
+    zs = f.zs()
     out = f.batch.data[1:-1].copy()
     for lo in range(1, len(f) - 1, STENCIL_BLOCK):
         hi = min(lo + STENCIL_BLOCK, len(f) - 1)
@@ -241,21 +236,18 @@ def symmetric_rhs(s: SymState) -> tuple[RingElement, RingElement, RingElement]:
             s.alpha1 * one - anticommutator(s.v2, s.v1), s.v1 - s.v0)
 
 
-def lax_residual_symmetric(s: SymState, rhs=None) -> BlockMatrix:
-    """L_t - (P L - L P); vanishes iff the field derivatives match the flow.
-
-    ``rhs`` overrides the derivative triple (default: symmetric_rhs(s)),
-    which makes perturbation sensitivity measurable.
+def lax_residual_symmetric(s: SymState) -> BlockMatrix:
+    """L_t - (P L - L P), with L_t from the flow's derivatives
+    symmetric_rhs(s); it vanishes when the Lax equation holds.
 
     L and P are block diagonal, so the residual is computed one 2x2 block
     at a time; the blocks off the diagonal are zero.  With a batched state,
     one evaluation covers every position.
     """
-    if rhs is None:
-        rhs = symmetric_rhs(s)
     zero = s.v0.zero_like()
     blocks = []
-    for ell, pee, field_t in zip(_L_blocks(s), _P_blocks(s), rhs):
+    for ell, pee, field_t in zip(_L_blocks(s), _P_blocks(s),
+                                 symmetric_rhs(s)):
         ell_t = BlockMatrix([[zero, zero], [-field_t, zero]])
         blocks.append(ell_t - (pee @ ell - ell @ pee))
     return _block_diag(blocks)
@@ -357,15 +349,15 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
                       reason is not None, reason)
 
 
-def reduction_check(path: SymState, integration_constant: float = 0.0
-                    ) -> GridFunction:
+def reduction_check(path: SymState) -> GridFunction:
     """P-II residual of the v2 component along a symmetric trajectory.
 
     ``path`` is the trajectory as one batched SymState
     (``FlowResult.path``).  Requires alpha0 + alpha1 = 2 (the scaling in
     which the eliminated equation is P-II with C = alpha1 - alpha0 and
-    z = t).  A nonzero value of the conserved combination shifts z; pass
-    it as ``integration_constant`` to compensate.
+    z = t) and a conserved combination of zero.  For a combination k != 0
+    the equation holds in z = t + k/2; score it with ``pii_residual_grid(
+    GridFunction(t0 + k/2, h, path.v2), alpha1 - alpha0)``.
     """
     if len(path.t) < 2:
         raise ValueError("trajectory too short")
@@ -376,6 +368,4 @@ def reduction_check(path: SymState, integration_constant: float = 0.0
             f"got {alpha_sum}")
     t0, t1 = path.t[:2].tolist()
     v2_grid = GridFunction(t0, t1 - t0, path.v2)
-    c_val = path.alpha1 - path.alpha0
-    return pii_residual_grid(v2_grid, c_val,
-                             z_shift=integration_constant / 2.0)
+    return pii_residual_grid(v2_grid, path.alpha1 - path.alpha0)

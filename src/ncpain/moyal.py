@@ -324,7 +324,3 @@ def star_product(f: MoyalPolynomial, g: MoyalPolynomial) -> MoyalPolynomial:
     f._require_same_ring(g)
     return _star(f, g, truncate=f.approximate or g.approximate)
 
-
-def star_commutator(f: MoyalPolynomial, g: MoyalPolynomial) -> MoyalPolynomial:
-    """star_product(f, g) - star_product(g, f)."""
-    return star_product(f, g) - star_product(g, f)

@@ -244,8 +244,8 @@ def determinant_ratio(a: BlockMatrix, i: int, j: int) -> complex:
         if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
             cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
             raise NearSingularError(
-                "deleted submatrix is near-singular", condition=cond,
-                where=f"submatrix for position ({i},{j})")
+                "deleted submatrix is near-singular "
+                f"[submatrix for position ({i},{j})]", condition=cond)
         det_sub = np.linalg.det(sub)
     else:
         det_sub = 1.0 + 0j

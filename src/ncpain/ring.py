@@ -22,9 +22,11 @@ position in ``NearSingularError.indices``.
 ``inv`` refuses a position when smin/smax <= COND_FLOOR.  It computes the
 inverse first: since smin >= 1/|A^-1|_F and smax <= |A|_F, the two norms
 certify every position whose condition number is at most about 1e6, and a
-batched SVD decides only the positions left over, as it decided all of
-them before.  Norms of entries past 2**500 are summed from entries scaled
-by a power of two, so a norm overflows only past the float range.
+batched SVD decides only the positions left over.  A position it
+accepts is refused all the same when LAPACK cannot invert it or its
+inverse is not finite, as with subnormal entries.  Norms of entries past
+2**500 are summed from entries scaled by a power of two, so a norm
+overflows only past the float range.
 """
 
 from __future__ import annotations
@@ -52,24 +54,22 @@ class NearSingularError(ArithmeticError):
 
     ``condition`` carries the estimated condition number (``inf`` for an
     exactly singular operand); for a batched operand it is that of the
-    first refused position.  A composite computation passes ``where``, the
-    pivot block or grid point that failed; it is appended to the message.
-    ``indices`` is the sorted tuple of every refused batch position (the
-    grid points to mask), or None when the operand was not batched.
+    first refused position.  ``indices`` is the sorted tuple of every
+    refused batch position (the grid points to mask), or None when the
+    operand was not batched.  A composite computation names the pivot
+    block or grid point that failed with ``relabel``.
     """
 
     def __init__(self, message: str, condition: float | None = None,
-                 where: str | None = None, indices: tuple | None = None):
-        if where is not None:
-            message = f"{message} [{where}]"
+                 indices: tuple | None = None):
         super().__init__(message)
         self.condition = condition
         self.indices = indices
 
     def relabel(self, where: str) -> "NearSingularError":
-        """The same refusal, with ``where`` appended to its message."""
-        return NearSingularError(str(self), condition=self.condition,
-                                 where=where, indices=self.indices)
+        """The same refusal, with `` [where]`` appended to its message."""
+        return NearSingularError(f"{self} [{where}]", self.condition,
+                                 self.indices)
 
 
 class RingElement(abc.ABC):
@@ -241,28 +241,39 @@ class MatrixElement(RingElement):
     def inv(self):
         inverse, certified = _certified_inverse(self.data, COND_FLOOR)
         if not certified.all():
-            # The SVD test decides the positions the certificate left open.
+            # The SVD test decides the positions the certificate left open;
+            # one it accepts is still refused if LAPACK cannot invert it or
+            # its inverse is not finite (subnormal data).
             rest = np.flatnonzero(~certified)
             undecided = MatrixElement(
                 self.data.reshape(-1, self.d, self.d)[rest])
+            positions = rest if self.data.ndim == 3 else None
             smin, smax = undecided.singular_extremes()
             if smin <= COND_FLOOR * smax or smax == 0.0:
-                raise undecided._refusal(
-                    rest if self.data.ndim == 3 else None)
-            if inverse is None:  # accepted, yet LAPACK finds it singular
-                inverse = np.linalg.inv(self.data)
+                raise undecided._refusal(positions)
+            if inverse is None:  # LAPACK finds some position singular
+                inverse = _inverse_by_position(self.data)
+            finite = np.isfinite(inverse.reshape(-1, self.d, self.d)[rest]
+                                 ).all(axis=(-2, -1))
+            if not finite.all():
+                raise undecided._refusal(positions, ~finite)
         return _wrap(inverse)
 
-    def _refusal(self, positions) -> NearSingularError:
+    def _refusal(self, positions, not_finite=None) -> NearSingularError:
         # ``positions`` maps this batch's positions to the caller's, or is
-        # None for an unbatched caller.
+        # None for an unbatched caller.  The positions refused are those
+        # the SVD test fails, or, given, the ``not_finite`` mask.
         smin, smax = self.point_extremes()
-        bad = np.flatnonzero((smin <= COND_FLOOR * smax) | (smax == 0.0))
+        if not_finite is None:
+            what = "matrix is near-singular"
+            bad = np.flatnonzero((smin <= COND_FLOOR * smax) | (smax == 0.0))
+        else:
+            what = "matrix inverse is not finite"
+            bad = np.flatnonzero(not_finite)
         low, high = float(smin.flat[bad[0]]), float(smax.flat[bad[0]])
         cond = float("inf") if low == 0.0 else high / low
         return NearSingularError(
-            f"matrix is near-singular (condition ~ {cond:.3e})",
-            condition=cond,
+            f"{what} (condition ~ {cond:.3e})", condition=cond,
             indices=None if positions is None
             else tuple(positions[bad].tolist()))
 
@@ -386,6 +397,20 @@ def _certified_inverse(data: np.ndarray, floor: float,
             a2 = np.maximum(a2, 1.0)
         certified = a2 * b2 <= max(2.0 * floor, 1e-6) ** -2
     return inverse, certified
+
+
+def _inverse_by_position(data: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv`` of each batch position alone; NaN fills each
+    position where LAPACK finds it singular."""
+    flat = data.reshape(-1, *data.shape[-2:])
+    out = np.full(flat.shape, np.nan, dtype=complex)
+    with np.errstate(all="ignore"):
+        for k, a in enumerate(flat):
+            try:
+                out[k] = np.linalg.inv(a)
+            except np.linalg.LinAlgError:
+                pass
+    return out.reshape(data.shape)
 
 
 def commutator(a: RingElement, b: RingElement) -> RingElement:

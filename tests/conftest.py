@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncpain.dressing import masked_n_fold
 from ncpain.quasidet import quasideterminant
 from ncpain.ring import MatrixElement
 
@@ -24,3 +25,10 @@ def all_quasideterminants(a):
     """All n*n quasideterminants of a square BlockMatrix."""
     return [[quasideterminant(a, i, j) for j in range(a.m)]
             for i in range(a.n)]
+
+
+def n_fold(chain, n):
+    """v[n] of ``masked_n_fold``, on a chain where no grid point is masked."""
+    grids, masks = masked_n_fold(chain, n)
+    assert all(mask.all() for mask in masks)
+    return grids[-1]

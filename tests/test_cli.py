@@ -335,6 +335,21 @@ class TestDressCommand:
         assert run(["dress", "--N", "5", "--gamma", "i,2i,3i,4i,5i"],
                    tmp_path) == 1
 
+    # RK4 samples the seed between grid points, so a range that only
+    # reaches z = 0 at its start or stop is refused too.
+    @pytest.mark.parametrize("seed", ["rational", "rational-neg"])
+    @pytest.mark.parametrize("z", ["-0.5:0.5:0.001", "0:1:0.001",
+                                   "-1:0:0.001"])
+    def test_rational_seed_pole_in_range_is_usage_error(self, seed, z,
+                                                        tmp_path, capsys):
+        code = run(["dress", "--N", "2", "--gamma", "i,2i", "--seed", seed,
+                    "--C", "4", f"--z={z}"], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"usage error: --seed {seed} has a pole at z = 0, "
+                       f"inside --z {z}"]
+        assert not list(tmp_path.iterdir())
+
 
 @pytest.mark.parametrize("argv, option, value", [
     (["dress", "--N", "0"], "--z", "-1:-0.99:0.001"),

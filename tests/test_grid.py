@@ -42,8 +42,7 @@ def test_batched_storage_and_access():
     vals = [MatrixElement([[x, 1.0], [0.0, x]]) for x in (1.0, 2.0, 3.0, 4.0)]
     f = GridFunction(0.0, 0.5, vals)
     assert f.batch.data.shape == (4, 2, 2)
-    assert [v.data.tolist() for v in f.values] == [v.data.tolist()
-                                                   for v in vals]
+    assert [v.data.tolist() for v in f] == [v.data.tolist() for v in vals]
     assert np.array_equal(f[2].data, vals[2].data)
     assert f[1:3].data.shape == (2, 2, 2)
     same = GridFunction(0.0, 0.5, f.batch)

@@ -28,6 +28,17 @@ def pii_from_zero_curvature(residual):
     return 1j * residual.entry(0, 1)
 
 
+def full_lax_residual(s, field_ts):
+    """The literal L_t - (P L - L P) of the 6x6 matrices, with L_t built
+    from the field derivatives ``field_ts``."""
+    zero = s.v0.zero_like()
+    rows = [[zero] * 6 for _ in range(6)]
+    for b, field_t in enumerate(field_ts):
+        rows[2 * b + 1][2 * b] = -field_t
+    ell, pee = build_L(s), build_P(s)
+    return BlockMatrix(rows) - (pee @ ell - ell @ pee)
+
+
 def random_pii_state(rng, d, lam=1j):
     return PiiState(
         v=gaussian_element(rng, d),
@@ -154,14 +165,14 @@ class TestPiiResidual:
     def test_grid_residual_matches_pointwise_exactly(self, rng):
         # Longer than two evaluation blocks, so block edges are covered.
         n = 2 * STENCIL_BLOCK + 7
-        f = GridFunction(1.0, 1e-3, [gaussian_element(rng, 2)
+        f = GridFunction(1.3, 1e-3, [gaussian_element(rng, 2)
                                      for _ in range(n)])
-        res = pii_residual_grid(f, 4.0, z_shift=0.3)
+        res = pii_residual_grid(f, 4.0)
         inv_h2 = 1.0 / (f.h * f.h)
         assert len(res) == n - 2
         for k in range(1, n - 1):
             v_zz = (f[k - 1] - 2 * f[k] + f[k + 1]) * inv_h2
-            expected = pii_residual_exact(f[k], v_zz, f.z(k) + 0.3, 4.0)
+            expected = pii_residual_exact(f[k], v_zz, f.z(k), 4.0)
             assert np.array_equal(res[k - 1].data, expected.data)
 
     def test_grid_too_short(self):
@@ -258,7 +269,7 @@ class TestSymmetricSystem:
         d0, d1, d2 = symmetric_rhs(s)
         for eps in (1e-3, 1e-6):
             perturbed = (d0 + eps * d0.one_like(), d1, d2)
-            res = lax_residual_symmetric(s, rhs=perturbed)
+            res = full_lax_residual(s, perturbed)
             assert res.norm() == pytest.approx(eps, rel=1e-9)
 
     @pytest.mark.parametrize("batch", [None, 4], ids=["single", "batched"])
@@ -271,12 +282,7 @@ class TestSymmetricSystem:
                                     + 1j * rng.standard_normal(shape))
                       for _ in range(2))
             s = SymState(v0, v1, gaussian_element(rng, d), 0.3 - 0.2j, 1.1)
-            zero = v0.zero_like()
-            rows = [[zero] * 6 for _ in range(6)]
-            for b, field_t in enumerate(symmetric_rhs(s)):
-                rows[2 * b + 1][2 * b] = -field_t
-            ell, pee = build_L(s), build_P(s)
-            full = BlockMatrix(rows) - (pee @ ell - ell @ pee)
+            full = full_lax_residual(s, symmetric_rhs(s))
             res = lax_residual_symmetric(s)
             for i in range(6):
                 for j in range(6):
@@ -631,7 +637,9 @@ class TestReduction:
                       MatrixElement.scalar(0.3), 0.5, 1.5, 0.0)
         k = complex(first_integral(s0).data[0, 0]).real
         flow = integrate_symmetric(s0, 1.0, 1e-3)
-        residual = reduction_check(flow.path, integration_constant=k)
+        path = flow.path
+        shifted = GridFunction(path.t[0] + k / 2, 1e-3, path.v2)
+        residual = pii_residual_grid(shifted, path.alpha1 - path.alpha0)
         assert residual.sup_norm() <= 1e-5
 
     def test_alpha_sum_precondition(self):

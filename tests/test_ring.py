@@ -162,19 +162,34 @@ class TestNorm:
 
 
 def svd_first_inverse(el):
-    """``MatrixElement.inv`` as written before the certificate: the SVD test
-    of every position first, then ``np.linalg.inv``."""
-    smin, smax = el.singular_extremes()
-    if smin <= COND_FLOOR * smax or smax == 0.0:
-        smin, smax = el.point_extremes()
-        bad = np.flatnonzero((smin <= COND_FLOOR * smax) | (smax == 0.0))
+    """``MatrixElement.inv`` without the certificate: the SVD test of every
+    position first; if all pass, each position whose inverse LAPACK cannot
+    compute, or computes as not finite, is refused; else ``np.linalg.inv``."""
+    low, high = el.singular_extremes()
+    smin, smax = el.point_extremes()
+    if low <= COND_FLOOR * high or high == 0.0:
+        what = "matrix is near-singular"
+        bad = (smin <= COND_FLOOR * smax) | (smax == 0.0)
+    else:
+        what = "matrix inverse is not finite"
+        bad = np.array([not _lapack_inverts(a)
+                        for a in el.data.reshape(-1, el.d, el.d)])
+    if bad.any():
+        bad = np.flatnonzero(bad)
         low, high = float(smin.flat[bad[0]]), float(smax.flat[bad[0]])
         cond = float("inf") if low == 0.0 else high / low
         raise NearSingularError(
-            f"matrix is near-singular (condition ~ {cond:.3e})",
-            condition=cond,
+            f"{what} (condition ~ {cond:.3e})", condition=cond,
             indices=tuple(bad.tolist()) if el.data.ndim == 3 else None)
     return MatrixElement(np.linalg.inv(el.data))
+
+
+def _lapack_inverts(a):
+    try:
+        with np.errstate(all="ignore"):
+            return np.isfinite(np.linalg.inv(a)).all()
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _outcome(inverse, data):
@@ -243,6 +258,51 @@ class TestCertifiedInverse:
         # conditioned positions, the SVD the rest.
         _, certified = _certified_inverse(np.stack(sweep), COND_FLOOR)
         assert certified[0] and (d == 1 or not certified.all())
+
+
+def _subnormal_matrices(rng, count=20_000):
+    """Real Gaussian 2x2-5x5 matrices, each times one scale in
+    1e-322..1e-312: the SVD test passes most of them, and LAPACK either
+    cannot invert them or returns an inverse that is not finite."""
+    for _ in range(count):
+        d = int(rng.integers(2, 6))
+        yield 10.0 ** -rng.uniform(312, 322) * rng.standard_normal((d, d))
+
+
+@pytest.mark.filterwarnings("error")
+class TestSubnormalInverse:
+    def test_scaled_identity_is_refused(self):
+        with pytest.raises(NearSingularError) as err:
+            MatrixElement(1e-310 * np.eye(2)).inv()
+        assert str(err.value) == \
+            "matrix inverse is not finite (condition ~ 1.000e+00)"
+        assert err.value.condition == 1.0 and err.value.indices is None
+
+    def test_every_matrix_is_refused(self, rng):
+        for data in _subnormal_matrices(rng):
+            with pytest.raises(NearSingularError):
+                MatrixElement(data).inv()
+
+    def test_a_batch_masks_only_its_subnormal_positions(self, rng):
+        # Each size's matrices alternate with well-conditioned positions in
+        # one batch; dropping what each refusal lists, as the masked
+        # dressing does, leaves exactly the well-conditioned positions.
+        by_size = {}
+        for data in _subnormal_matrices(rng):
+            d = len(data)
+            by_size.setdefault(d, []).extend(
+                [data, np.eye(d) + 0.1 * rng.standard_normal((d, d))])
+        for batch in map(np.array, by_size.values()):
+            keep = np.arange(len(batch))
+            while True:
+                try:
+                    inverse = MatrixElement(batch[keep]).inv()
+                    break
+                except NearSingularError as exc:
+                    keep = np.delete(keep, exc.indices)
+            assert keep.tolist() == list(range(1, len(batch), 2))
+            assert np.array_equal(inverse.data,
+                                  np.linalg.inv(batch[keep] + 0j))
 
 
 class TestRingAxioms:
