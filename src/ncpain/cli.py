@@ -27,15 +27,16 @@ import numpy as np
 from .dressing import (DressingChain, SpectralPoint, integrate_linear,
                        masked_iterated, masked_n_fold)
 from .grid import GridFunction
-from .laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A, build_B,
-                      first_integral_drift, integrate_symmetric,
-                      lax_residual_symmetric, normalize_first_integral,
-                      pii_residual_exact, pii_residual_grid, reduction_check,
+from .laxpair import (NORMALIZED_ALPHA_SUM, STENCIL_BLOCK, PiiState,
+                      SymState, build_A, build_B, first_integral_drift,
+                      integrate_symmetric, lax_residual_symmetric,
+                      normalize_first_integral, pii_residual_exact,
+                      pii_residual_grid, reduction_check,
                       zero_curvature_residual)
 from .quasidet import (BlockMatrix, quasideterminant, quasideterminant_oracle)
 from .reports import ExperimentReport, write_grid_csv
-from .ring import (MatrixElement, NearSingularError, random_invertible,
-                   random_matrix)
+from .ring import (COND_FLOOR, MatrixElement, NearSingularError,
+                   random_invertible, random_matrix)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -269,9 +270,8 @@ def run_zero_curvature(args):
         # numpy overflows show in the finiteness check of each case; Python
         # complex arithmetic (lam ** 2 in build_A) raises OverflowError.
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                stats = [_zc_case_stats(PiiState(v, v_z, v_zz, z, lam, c_val))
-                         for v, v_z, v_zz, z, c_val in blocks]
+            stats = [_zc_case_stats(PiiState(v, v_z, v_zz, z, lam, c_val))
+                     for v, v_z, v_zz, z, c_val in blocks]
         except OverflowError as exc:
             raise FloatingPointError(
                 f"zero-curvature check overflows at lambda = {lam}: {exc}"
@@ -437,7 +437,7 @@ def run_symmetric(args):
     alpha1 = parse_complex(args.alpha1)
     state = SymState(v0, v1, v2, alpha0, alpha1, t0)
     if args.normalize:
-        if abs(alpha0 + alpha1 - 2.0) > 1e-12:
+        if abs(alpha0 + alpha1 - NORMALIZED_ALPHA_SUM) > 1e-12:
             raise UsageError("--normalize requires alpha0 + alpha1 = 2")
         state = normalize_first_integral(state)
         data_desc["v1"] = _matrix_value(state.v1)
@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--t", default="0:1:0.001", help="flow start:stop:step")
     p_s.add_argument("--normalize", action="store_true",
                      help="zero the first integral (needs alpha sum 2)")
-    p_s.add_argument("--min-cond", type=nonnegative_float, default=1e-12)
+    p_s.add_argument("--min-cond", type=nonnegative_float, default=COND_FLOOR)
     p_s.add_argument("--seed", type=int, default=0)
     p_s.set_defaults(run=run_symmetric, experiment="symmetric")
 
@@ -556,7 +556,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         t_start = time.perf_counter()
-        parameters, results, code = args.run(args)
+        # Overflow shows as an exit code, a mask, a truncation or inf/nan.
+        with np.errstate(all="ignore"):
+            parameters, results, code = args.run(args)
         ExperimentReport(args.experiment, parameters, results,
                          time.perf_counter() - t_start
                          ).write(args.out, f"{args.command}_report.json")

@@ -29,7 +29,7 @@ import numpy as np
 from .grid import GridFunction, require_stencil_length
 from .integrators import rk4_path
 from .quasidet import BlockMatrix
-from .ring import (MatrixElement, NearSingularError, RingElement,
+from .ring import (COND_FLOOR, MatrixElement, NearSingularError, RingElement,
                    _certified_inverse, _squared_norms, _wrap,
                    anticommutator)
 
@@ -285,7 +285,7 @@ def normalize_first_integral(s: SymState) -> SymState:
 
 
 def integrate_symmetric(s0: SymState, t_end: float, h: float,
-                        min_condition: float = 1e-12) -> FlowResult:
+                        min_condition: float = COND_FLOOR) -> FlowResult:
     """Fixed-step RK4 flow of the symmetric system from s0.t to t_end.
 
     The trajectory is truncated (not an exception) when values stop being

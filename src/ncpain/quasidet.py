@@ -236,19 +236,17 @@ def to_complex_matrix(a: BlockMatrix) -> np.ndarray:
 
 
 def determinant_ratio(a: BlockMatrix, i: int, j: int) -> complex:
-    """Commutative-limit value (-1)^(i+j) det(A) / det(A^ij)."""
+    """Commutative-limit value (-1)^(i+j) det(A) / det(A^ij); A^ij is
+    refused as ``MatrixElement.inv`` refuses it, with the same label."""
     arr = to_complex_matrix(a)
     sub = np.delete(np.delete(arr, i, axis=0), j, axis=1)
+    det_sub = 1.0 + 0j
     if sub.size:
-        s = np.linalg.svd(sub, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-            cond = float("inf") if s[-1] == 0 else float(s[0] / s[-1])
-            raise NearSingularError(
-                "deleted submatrix is near-singular "
-                f"[submatrix for position ({i},{j})]", condition=cond)
+        try:
+            MatrixElement(sub).inv()
+        except NearSingularError as exc:
+            raise exc.relabel(f"submatrix for position ({i},{j})") from exc
         det_sub = np.linalg.det(sub)
-    else:
-        det_sub = 1.0 + 0j
     return (-1) ** (i + j) * np.linalg.det(arr) / det_sub
 
 

@@ -21,12 +21,13 @@ position in ``NearSingularError.indices``.
 
 ``inv`` refuses a position when smin/smax <= COND_FLOOR.  It computes the
 inverse first: since smin >= 1/|A^-1|_F and smax <= |A|_F, the two norms
-certify every position whose condition number is at most about 1e6, and a
-batched SVD decides only the positions left over.  A position it
-accepts is refused all the same when LAPACK cannot invert it or its
-inverse is not finite, as with subnormal entries.  Norms of entries past
-2**500 are summed from entries scaled by a power of two, so a norm
-overflows only past the float range.
+certify every position whose condition number is at most about 1e6, and
+one batched SVD of the positions left over both decides and describes a
+refusal: its singular values give the refused positions and the condition
+number reported.  A position it accepts is refused all the same when
+LAPACK cannot invert it or its inverse is not finite, as with subnormal
+entries.  Norms of entries past 2**500 are summed from entries scaled by
+a power of two, so a norm overflows only past the float range.
 """
 
 from __future__ import annotations
@@ -241,47 +242,34 @@ class MatrixElement(RingElement):
     def inv(self):
         inverse, certified = _certified_inverse(self.data, COND_FLOOR)
         if not certified.all():
-            # The SVD test decides the positions the certificate left open;
-            # one it accepts is still refused if LAPACK cannot invert it or
-            # its inverse is not finite (subnormal data).
+            # One SVD of the positions the certificate left open decides
+            # them and describes a refusal: near-singular first, then, for
+            # positions it accepts, an inverse that LAPACK cannot compute
+            # or that is not finite (subnormal data).
             rest = np.flatnonzero(~certified)
-            undecided = MatrixElement(
-                self.data.reshape(-1, self.d, self.d)[rest])
-            positions = rest if self.data.ndim == 3 else None
-            smin, smax = undecided.singular_extremes()
-            if smin <= COND_FLOOR * smax or smax == 0.0:
-                raise undecided._refusal(positions)
-            if inverse is None:  # LAPACK finds some position singular
-                inverse = _inverse_by_position(self.data)
-            finite = np.isfinite(inverse.reshape(-1, self.d, self.d)[rest]
-                                 ).all(axis=(-2, -1))
-            if not finite.all():
-                raise undecided._refusal(positions, ~finite)
+            smin, smax = MatrixElement(
+                self.data.reshape(-1, self.d, self.d)[rest]).point_extremes()
+            what = "matrix is near-singular"
+            bad = (smin <= COND_FLOOR * smax) | (smax == 0.0)
+            if not bad.any():
+                if inverse is None:  # LAPACK finds some position singular
+                    inverse = _inverse_by_position(self.data)
+                what = "matrix inverse is not finite"
+                bad = ~np.isfinite(inverse.reshape(-1, self.d, self.d)[rest]
+                                   ).all(axis=(-2, -1))
+            if bad.any():
+                bad = np.flatnonzero(bad)
+                low, high = float(smin[bad[0]]), float(smax[bad[0]])
+                cond = float("inf") if low == 0.0 else high / low
+                raise NearSingularError(
+                    f"{what} (condition ~ {cond:.3e})", condition=cond,
+                    indices=tuple(rest[bad].tolist())
+                    if self.data.ndim == 3 else None)
         return _wrap(inverse)
 
-    def _refusal(self, positions, not_finite=None) -> NearSingularError:
-        # ``positions`` maps this batch's positions to the caller's, or is
-        # None for an unbatched caller.  The positions refused are those
-        # the SVD test fails, or, given, the ``not_finite`` mask.
-        smin, smax = self.point_extremes()
-        if not_finite is None:
-            what = "matrix is near-singular"
-            bad = np.flatnonzero((smin <= COND_FLOOR * smax) | (smax == 0.0))
-        else:
-            what = "matrix inverse is not finite"
-            bad = np.flatnonzero(not_finite)
-        low, high = float(smin.flat[bad[0]]), float(smax.flat[bad[0]])
-        cond = float("inf") if low == 0.0 else high / low
-        return NearSingularError(
-            f"{what} (condition ~ {cond:.3e})", condition=cond,
-            indices=None if positions is None
-            else tuple(positions[bad].tolist()))
-
     def norm(self) -> float:
-        with np.errstate(over="ignore"):  # summed again by _rescale_huge
-            norm = np.linalg.norm(self.data)
-        return float(_rescale_huge(self.data.reshape(1, -1),
-                                   np.array([norm]))[0])
+        flat = self.data.reshape(1, -1)
+        return float(_rescale_huge(flat, _frobenius(flat))[0])
 
     def point_norms(self) -> np.ndarray:
         """Frobenius norm of each batch position, as ``norm`` computes it."""
@@ -338,9 +326,9 @@ def _wrap(arr: np.ndarray) -> MatrixElement:
 
 
 def _frobenius(flat: np.ndarray) -> np.ndarray:
-    # Summed over the strided real and imaginary views, as np.linalg.norm
-    # sums a complex array, so an unbatched norm keeps its bits.  A sum that
-    # overflows is summed again by _rescale_huge.
+    # Summed over the strided real and imaginary views, as numpy's own norm
+    # sums a complex array, so a norm keeps its bits.  A sum that overflows
+    # is summed again by _rescale_huge.
     with np.errstate(over="ignore"):
         return np.sqrt(np.vecdot(flat.real, flat.real)
                        + np.vecdot(flat.imag, flat.imag))

@@ -5,6 +5,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +573,29 @@ def test_truncated_blowup_prints_only_its_reason(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr == ("flow truncated: v0 is no longer finite "
                            "at t = 0.06\n")
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["symmetric", "--v0", "1e300", "--v2", "1e300", "--t", "0:0.01:0.001"],
+     3, "flow truncated: v0 is no longer finite at t = 0.001\n"),
+    (["symmetric", "--alpha0", "1e308", "--alpha1", "1e308",
+      "--t", "0:0.01:0.001"],
+     3, "flow truncated: v0 is no longer finite at t = 0.001\n"),
+    (["dress", "--N", "2", "--gamma", "1e200i,2", "--z", "1:1.1:0.001"],
+     0, ""),
+    (["quasidet", "--inline", '[["1e308","1e308"],["1e308","-1e308"]]',
+      "--pos", "1", "1"],
+     2, "numerical failure: matrix is near-singular (condition ~ inf) "
+        "[Schur complement of leading block]\n"),
+], ids=["huge-v", "huge-alpha", "huge-gamma", "huge-quasidet"])
+def test_overflow_prints_no_floating_point_warning(argv, code, stderr,
+                                                   tmp_path, capsys):
+    # Overflow shows as the exit code, a mask, a truncation or inf/nan in
+    # the report; a numpy RuntimeWarning would raise here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv, tmp_path) == code
+    assert capsys.readouterr().err == stderr
 
 
 def test_closed_stdout_is_not_an_error(tmp_path):

@@ -238,6 +238,23 @@ class TestCommutativeLimit:
                     # a deleted submatrix may legitimately be singular
                     continue
 
+    @pytest.mark.parametrize("a11", [0.0, 1e-310])
+    def test_refuses_as_the_quasideterminant_does(self, a11):
+        # The deleted submatrix [[a11]] is zero or subnormal: both routes
+        # refuse it through MatrixElement.inv, with the same message.
+        m = scalar_block([[1, 2], [3, a11]])
+        with pytest.raises(NearSingularError) as ratio:
+            determinant_ratio(m, 0, 0)
+        with pytest.raises(NearSingularError) as direct:
+            quasideterminant(m, 0, 0)
+        assert str(ratio.value) == str(direct.value)
+        assert str(ratio.value).endswith("[submatrix for position (0,0)]")
+
+    def test_small_but_conditioned_submatrix_is_accepted(self):
+        m = scalar_block([[1, 2], [3, 1e-13]])
+        assert commutative_limit_residual(m, 0, 0) \
+            <= 1e-14 * abs(determinant_ratio(m, 0, 0))
+
     def test_requires_scalar_backend(self, rng):
         m = random_block(rng, 2, 2)
         with pytest.raises(ValueError):

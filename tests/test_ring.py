@@ -412,11 +412,8 @@ class TestBatch:
             assert np.array_equal(batch.data[k], expected.data)
 
     def test_refusal_lists_every_failing_position(self):
-        data = np.stack([np.eye(2)] * 5).astype(complex)
-        data[1] = 0.0
-        data[3] = np.diag([1.0, 1e-14])
         with pytest.raises(NearSingularError) as err:
-            MatrixElement(data).inv()
+            MatrixElement(_refusal_batch()).inv()
         assert err.value.indices == (1, 3)
         assert err.value.condition == float("inf")
         assert err.value.relabel("here").indices == (1, 3)
@@ -437,6 +434,47 @@ class TestBatch:
         data = np.stack([np.diag([1.0, 0.5]), np.diag([2.0, 1e-3]),
                          np.eye(2)])
         assert MatrixElement(data).singular_extremes() == (1e-3, 2.0)
+
+
+def _refusal_batch():
+    data = np.stack([np.eye(2)] * 5).astype(complex)
+    data[1] = 0.0
+    data[3] = np.diag([1.0, 1e-14])
+    return data
+
+
+class TestOneSvdPerInverse:
+    """``inv`` decides and describes a refusal from one ``point_extremes``
+    call on the positions the certificate leaves open, and a certified
+    inverse runs none; ``singular_extremes`` is never called."""
+
+    @pytest.mark.parametrize("data, refused, svds", [
+        (_refusal_batch(), True, 1),
+        (np.zeros((2, 2)), True, 1),
+        (1e-310 * np.eye(2), True, 1),
+        (np.diag([1.0, 1e-8]), False, 1),  # accepted by the SVD test
+        (np.eye(3) + 0.1 * np.arange(9).reshape(3, 3), False, 0),
+    ], ids=["batched-near-singular", "zero", "subnormal", "svd-accepted",
+            "certified"])
+    def test_point_extremes_calls(self, monkeypatch, data, refused, svds):
+        calls = []
+        extremes = MatrixElement.point_extremes
+
+        def counted(el):
+            calls.append(el.data.shape)
+            return extremes(el)
+
+        def forbidden(el):
+            raise AssertionError("inv called singular_extremes")
+
+        monkeypatch.setattr(MatrixElement, "point_extremes", counted)
+        monkeypatch.setattr(MatrixElement, "singular_extremes", forbidden)
+        if refused:
+            with pytest.raises(NearSingularError):
+                MatrixElement(data).inv()
+        else:
+            MatrixElement(data).inv()
+        assert len(calls) == svds
 
 
 class TestOwnership:
