@@ -26,8 +26,9 @@ one batched SVD of the positions left over both decides and describes a
 refusal: its singular values give the refused positions and the condition
 number reported.  A position it accepts is refused all the same when
 LAPACK cannot invert it or its inverse is not finite, as with subnormal
-entries.  Norms of entries past 2**500 are summed from entries scaled by
-a power of two, so a norm overflows only past the float range.
+entries.  A position with a non-finite entry is refused as not finite.
+Norms of entries past 2**500 are summed from entries scaled by a power of
+two, so a norm overflows only past the float range.
 """
 
 from __future__ import annotations
@@ -243,12 +244,13 @@ class MatrixElement(RingElement):
         inverse, certified = _certified_inverse(self.data, COND_FLOOR)
         if not certified.all():
             # One SVD of the positions the certificate left open decides
-            # them and describes a refusal: near-singular first, then, for
-            # positions it accepts, an inverse that LAPACK cannot compute
-            # or that is not finite (subnormal data).
+            # them and describes a refusal: near-singular first (or not
+            # finite, which the SVD reads as singular), then, for positions
+            # it accepts, an inverse that LAPACK cannot compute or that is
+            # not finite (subnormal data).
             rest = np.flatnonzero(~certified)
-            smin, smax = MatrixElement(
-                self.data.reshape(-1, self.d, self.d)[rest]).point_extremes()
+            left = self.data.reshape(-1, self.d, self.d)[rest]
+            smin, smax = MatrixElement(left).point_extremes()
             what = "matrix is near-singular"
             bad = (smin <= COND_FLOOR * smax) | (smax == 0.0)
             if not bad.any():
@@ -261,8 +263,11 @@ class MatrixElement(RingElement):
                 bad = np.flatnonzero(bad)
                 low, high = float(smin[bad[0]]), float(smax[bad[0]])
                 cond = float("inf") if low == 0.0 else high / low
+                what = f"{what} (condition ~ {cond:.3e})"
+                if not np.isfinite(left[bad[0]]).all():
+                    what = "matrix is not finite"
                 raise NearSingularError(
-                    f"{what} (condition ~ {cond:.3e})", condition=cond,
+                    what, condition=cond,
                     indices=tuple(rest[bad].tolist())
                     if self.data.ndim == 3 else None)
         return _wrap(inverse)

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as hst
 
 from ncpain.ring import DimensionMismatchError, NearSingularError, commutator
+from ncpain import moyal
 from ncpain.moyal import DegreeOverflowError, MoyalPolynomial, star_product
 
 THETA = 0.3
@@ -260,11 +261,12 @@ def assert_truncated_product(f, g):
 
 
 class TestTruncatedProduct:
-    """Products with an approximate operand go through the dense FFT path.
+    """Products with an approximate operand are ``R_g @ vec(f)``, with R_g
+    the matrix of right multiplication by g on the cap triangle.
 
-    theta = 0.05 keeps the dense products within a few |f||g|; the FFT's
-    rounding is absolute, so a product much larger than |f||g| would set
-    the scale instead.
+    theta = 0.05 keeps the dense products within a few |f||g|; the
+    rounding follows the sizes of the series terms, so a product much
+    larger than |f||g| would set the scale instead.
     """
 
     @pytest.mark.parametrize("cap,g_degree", [(16, 16), (24, 12), (24, 24)])
@@ -280,20 +282,6 @@ class TestTruncatedProduct:
         f = dense_poly(rng, 8, THETA, 8)
         assert_truncated_product(c, f)
         assert_truncated_product(f, c)
-
-    def test_one_batched_transform_per_derivative_order(self, rng,
-                                                        monkeypatch):
-        calls = []
-        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
-            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-                calls.append(_fn)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
-        f = as_approximate(dense_poly(rng, 16, 0.05, 16))
-        g = dense_poly(rng, 16, 0.05, 16)
-        assert (f * g).approximate
-        kmax = 16
-        assert 0 < len(calls) <= 4 * (kmax + 1) + 1
 
     def test_theta_zero(self, rng):
         f = dense_poly(rng, 6, 0.0, 8)
@@ -313,8 +301,8 @@ class TestTruncatedProduct:
         assert got.degree() <= 7
 
     @given(small_polys(), small_polys())
-    # A tiny f: |f| must not underflow to 0, which leaves no room for the
-    # FFT's rounding.
+    # A tiny f: |f| must not underflow to 0, which leaves no room for
+    # rounding.
     @example(poly({(0, 0): 6.078117472112732e-214j}), poly({(0, 2): 0.5j}))
     @settings(max_examples=40, deadline=None)
     def test_matches_exact_series(self, f, g):
@@ -339,6 +327,124 @@ class TestTruncatedProduct:
         assert bracket.approximate
         assert bracket.coeffs == (star_product(finv, x1)
                                   - star_product(x1, finv)).coeffs
+
+
+def exact_column(m, n, g):
+    """x1^m x2^n * g by the exact series, cropped to g's cap."""
+    wide = [MoyalPolynomial(c, g.theta, 2 * g.cap) for c in ({(m, n): 1.0},
+                                                            g.coeffs)]
+    return {key: c for key, c in star_product(*wide).coeffs.items()
+            if key[0] + key[1] <= g.cap}
+
+
+class TestRightMatrix:
+    """``_right_matrix(g)`` column by column against the exact series."""
+
+    @staticmethod
+    def assert_columns_exact(g):
+        right = moyal._right_matrix(g)
+        keys = list(zip(*(k.tolist() for k in moyal._triangle(g.cap)[:2])))
+        assert right.shape == (len(keys), len(keys))
+        for j, (m, n) in enumerate(keys):
+            exact = exact_column(m, n, g)
+            got = MoyalPolynomial(dict(zip(keys, right[:, j].tolist())),
+                                  g.theta, g.cap)
+            size = max(np.linalg.norm(list(exact.values())), g.norm())
+            assert_coeffs_close(got, exact, tol=1e-13 * size)
+
+    # Dense g of degree 8 at cap 24 keeps the exact series to about a
+    # second; theta = 1 makes some columns 1e7 to 1e10 times |g|.
+    @pytest.mark.parametrize("theta", [0.05, 1.0])
+    @pytest.mark.parametrize("cap,degree", [(8, 8), (16, 16), (24, 8)])
+    def test_columns_match_the_exact_series(self, rng, cap, degree, theta):
+        self.assert_columns_exact(dense_poly(rng, degree, theta, cap))
+
+    def test_lopsided_operand(self):
+        # Degree 5 in x1 and 2 in x2 bound the two shift sums differently.
+        self.assert_columns_exact(MoyalPolynomial(
+            {(5, 0): 0.3, (1, 1): -1j, (0, 2): 0.7, (0, 0): 2.0}, THETA, 8))
+
+    def test_zero_and_constant(self):
+        assert not moyal._right_matrix(MoyalPolynomial.zero(THETA, 4)).any()
+        right = moyal._right_matrix(MoyalPolynomial({(0, 0): 2j}, THETA, 4))
+        assert np.array_equal(right, 2j * np.eye(15))
+
+
+class CountedMatrix:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __len__(self):
+        return len(self.matrix)
+
+    def __matmul__(self, vector):
+        self.products += 1
+        return self.matrix @ vector
+
+
+def series_inverse(f):
+    """The star-inverse series as ``inv`` summed it term by term, each term
+    a truncated ``star_product``; returns the inverse and the term count."""
+    c0 = f.coefficient(0, 0)
+    u = as_approximate((f - c0) * (1.0 / c0))
+    total = term = f.one_like()
+    u_norm0 = max(u.norm(), 1.0)
+    for count in range(1, 501):
+        term = star_product(term, u) * (-1.0)
+        tn = term.norm()
+        if tn == 0.0 or tn <= 1e-16 * max(total.norm(), 1.0):
+            return (total + term) * (1.0 / c0), count
+        assert tn <= 1e8 * u_norm0, "the reference series diverges"
+        total = total + term
+    raise AssertionError("the reference series did not converge")
+
+
+def moyal_qd_entries(rng):
+    """The 2x2 entries of the moyal-qd benchmark, random phases included."""
+    magnitudes = [{(0, 0): 1.0, (1, 0): 0.08}, {(0, 0): 0.2, (0, 1): 0.05},
+                  {(0, 0): 0.1, (1, 1): 0.04}, {(0, 0): 1.3, (2, 0): 0.06}]
+    return [MoyalPolynomial({key: mag * np.exp(2j * np.pi * rng.uniform())
+                             for key, mag in entry.items()}, 0.05, 16)
+            for entry in magnitudes]
+
+
+class TestInverseSeries:
+    """``inv`` applies one right-multiplication matrix per call and keeps
+    the series: same terms, same count, same stopping rule."""
+
+    def inverse_inputs(self, rng):
+        dense = dense_poly(rng, 16, 0.05, 16)
+        yield dense * (0.02 / dense.norm()) + 1.0
+        yield from moyal_qd_entries(rng)
+
+    def test_same_terms_as_the_product_series(self, rng, monkeypatch):
+        built = []
+
+        def counted(g):
+            built.append(CountedMatrix(right_matrix(g)))
+            return built[-1]
+
+        right_matrix = moyal._right_matrix
+        monkeypatch.setattr(moyal, "_right_matrix", counted)
+        for f in self.inverse_inputs(rng):
+            expected, count = series_inverse(f)
+            built.clear()
+            got = f.inv()
+            assert got.approximate
+            assert len(built) == 1 and built[0].products == count
+            assert_coeffs_close(got, expected.coeffs,
+                                tol=1e-13 * expected.norm())
+
+    def test_no_product_per_term(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inv called _star")
+
+        monkeypatch.setattr(moyal, "_star", forbidden)
+        for f in self.inverse_inputs(rng):
+            assert (f - f.coefficient(0, 0)).coeffs  # the series has terms
+            f.inv()
 
 
 class TestErrors:

@@ -163,7 +163,8 @@ class TestNorm:
 
 def svd_first_inverse(el):
     """``MatrixElement.inv`` without the certificate: the SVD test of every
-    position first; if all pass, each position whose inverse LAPACK cannot
+    position first, a position with a non-finite entry refused as not
+    finite; if all pass, each position whose inverse LAPACK cannot
     compute, or computes as not finite, is refused; else ``np.linalg.inv``."""
     low, high = el.singular_extremes()
     smin, smax = el.point_extremes()
@@ -178,8 +179,11 @@ def svd_first_inverse(el):
         bad = np.flatnonzero(bad)
         low, high = float(smin.flat[bad[0]]), float(smax.flat[bad[0]])
         cond = float("inf") if low == 0.0 else high / low
+        what = f"{what} (condition ~ {cond:.3e})"
+        if not np.isfinite(el.data.reshape(-1, el.d, el.d)[bad[0]]).all():
+            what = "matrix is not finite"
         raise NearSingularError(
-            f"{what} (condition ~ {cond:.3e})", condition=cond,
+            what, condition=cond,
             indices=tuple(bad.tolist()) if el.data.ndim == 3 else None)
     return MatrixElement(np.linalg.inv(el.data))
 
@@ -424,6 +428,26 @@ class TestBatch:
         with pytest.raises(NearSingularError) as err:
             MatrixElement(data).inv()
         assert err.value.indices == (2,)
+
+    @pytest.mark.parametrize("first, second, text", [
+        ("nan", "ill", "matrix is not finite"),
+        ("ill", "inf", "matrix is near-singular (condition ~ 1.000e+14)"),
+    ])
+    def test_refusal_names_its_first_position(self, first, second, text):
+        # A non-finite entry is named as such, not as near-singular; the
+        # text follows the first refused position, the indices list all.
+        special = {"nan": np.array([[1.0, np.nan], [0.0, 1.0]]),
+                   "inf": np.full((2, 2), np.inf),
+                   "ill": np.diag([1.0, 1e-14])}
+        data = np.stack([np.eye(2), special[first], np.eye(2),
+                         special[second]]).astype(complex)
+        with pytest.raises(NearSingularError) as err:
+            MatrixElement(data).inv()
+        assert str(err.value) == text
+        assert err.value.indices == (1, 3)
+        with pytest.raises(NearSingularError) as alone:
+            MatrixElement(special[first]).inv()
+        assert str(alone.value) == text and alone.value.indices is None
 
     def test_unbatched_refusal_has_no_indices(self):
         with pytest.raises(NearSingularError) as err:
