@@ -15,6 +15,11 @@ from ncpain.dressing import integrate_linear
 ONE = MatrixElement.eye(1)
 
 
+def seed(z):
+    """The rational seed v = 1/z, exact for P-II at C = 4."""
+    return (1.0 / z) * ONE
+
+
 def flow_errors():
     s0 = normalize_first_integral(
         SymState(MatrixElement.scalar(0.1), MatrixElement.scalar(1.0),
@@ -28,8 +33,6 @@ def flow_errors():
 
 
 def eigenfunction_errors():
-    seed = lambda z: (1.0 / z) * ONE
-
     def endpoint(h):
         n = round(1.0 / h) + 1
         chi, _ = integrate_linear(seed, 1j, (ONE, ONE), 1.0, h, n)
@@ -40,7 +43,6 @@ def eigenfunction_errors():
 
 
 def stencil_errors():
-    seed = lambda z: (1.0 / z) * ONE
     out = []
     for h in (4e-3, 2e-3, 1e-3):
         n = round(1.0 / h) + 1

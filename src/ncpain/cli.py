@@ -211,6 +211,11 @@ def run_quasidet(args):
     return parameters, results, EXIT_OK
 
 
+# The seed solutions v = s/z of P-II, v'' = 2v^3 - 4zv + C, at C = 4s: the
+# sign s of each seed name, for zc's jets and dress's seed function.
+SEED_SIGNS = {"rational": 1, "rational-neg": -1, "zero": 0}
+
+
 # -- zc ----------------------------------------------------------------------
 
 def _zc_case_stats(state: PiiState) -> dict:
@@ -241,14 +246,14 @@ def run_zero_curvature(args):
     kind = args.seed_kind
 
     cases = []
-    if kind == "rational":
-        sign = args.rational_sign
-        c_val = parse_complex(args.C) if args.C is not None else 4.0 * sign
+    if kind in SEED_SIGNS:
+        s = SEED_SIGNS[kind]
+        c_val = parse_complex(args.C) if args.C is not None else 4.0 * s
         eye = MatrixElement.eye(args.d)
         for z in np.linspace(1.0, 2.0, 9):
-            v = (sign / z) * eye
-            v_z = (-sign / z ** 2) * eye
-            v_zz = (2 * sign / z ** 3) * eye
+            v = (s / z) * eye
+            v_z = (-s / z ** 2) * eye
+            v_zz = (2 * s / z ** 3) * eye
             cases.append((v, v_z, v_zz, complex(z), c_val))
     else:
         rng = np.random.default_rng(args.seed)
@@ -292,7 +297,6 @@ def run_zero_curvature(args):
     parameters = {
         "seed_kind": kind, "d": args.d,
         "lambdas": lambdas, "C": args.C,
-        "rational_sign": args.rational_sign,
         "trials": args.trials, "seed": args.seed,
     }
     results = {
@@ -304,16 +308,6 @@ def run_zero_curvature(args):
 
 
 # -- dress --------------------------------------------------------------------
-
-def _seed_evaluator(kind: str, d: int):
-    eye = MatrixElement.eye(d)
-    if kind == "rational":
-        return lambda z: (1.0 / z) * eye
-    if kind == "rational-neg":
-        return lambda z: (-1.0 / z) * eye
-    zero = MatrixElement.zeros(d)
-    return lambda z: zero
-
 
 def _residual_stats(grid: GridFunction, mask: np.ndarray, c_val: complex
                     ) -> dict:
@@ -333,12 +327,15 @@ def run_dressing(args):
     # RK4 samples the seed between grid points too, so the whole range
     # (up to parse_range's tolerance on its stop) must miss the pole.
     z_end = z0 + (n - 1) * h
-    if args.seed != "zero" and \
-            z0 <= 0.0 <= z_end + 1e-9 * max(1.0, z_end - z0):
+    s = SEED_SIGNS[args.seed]
+    if s != 0 and z0 <= 0.0 <= z_end + 1e-9 * max(1.0, z_end - z0):
         raise UsageError(f"--seed {args.seed} has a pole at z = 0, "
                          f"inside --z {args.z}")
-    c_val = parse_complex(args.C)
-    seed_fn = _seed_evaluator(args.seed, args.d)
+    c_val = parse_complex(args.C) if args.C is not None else complex(4 * s)
+    eye = MatrixElement.eye(args.d)
+
+    def seed_fn(z):
+        return (s / z if s else 0.0) * eye
 
     seed_grid = GridFunction.sample(seed_fn, z0, h, n)
     one = seed_grid[0].one_like()
@@ -511,11 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_z = sub.add_parser("zc", help="zero-curvature residual checks")
     p_z.add_argument("--seed-kind", default="random",
-                     choices=("rational", "random"))
+                     choices=("rational", "rational-neg", "random"))
     p_z.add_argument("--d", type=positive_int, default=2)
     p_z.add_argument("--C", default=None)
     p_z.add_argument("--lambda", dest="lam", default="1,i,2-3i")
-    p_z.add_argument("--rational-sign", type=int, choices=(1, -1), default=1)
     p_z.add_argument("--trials", type=positive_int, default=25)
     p_z.add_argument("--seed", type=int, default=0)
     p_z.set_defaults(run=run_zero_curvature, experiment="zero_curvature")
@@ -525,9 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_d.add_argument("--gamma", default="",
                      help="comma-separated dressing parameters")
     p_d.add_argument("--seed", default="rational",
-                     choices=("rational", "rational-neg", "zero"),
-                     help="seed solution")
-    p_d.add_argument("--C", default="4")
+                     choices=tuple(SEED_SIGNS), help="seed solution")
+    p_d.add_argument("--C", help="P-II constant (default 4s, at which the "
+                     "seed v = s/z solves P-II)")
     p_d.add_argument("--z", default="1:2:0.001", help="grid start:stop:step")
     p_d.add_argument("--d", type=positive_int, default=1)
     p_d.set_defaults(run=run_dressing, experiment="dressing")

@@ -66,6 +66,7 @@ class TestParsing:
     ["symmetric", "--min-cond", "-1"],
     ["quasidet", "--inline", "[[1e400]]", "--pos", "1", "1"],
     ["zc", "--seed-kind", "random-placeholders"],
+    ["zc", "--rational-sign", "-1"],
     ["dress", "--N", "0", "--z", "1:1.1:0.001", "--dt-convention", "b-matrix"],
     # Inputs the run would ignore while its report records them.
     ["symmetric", "--v1", "7", "--normalize"],
@@ -77,6 +78,7 @@ class TestParsing:
         "zc-trials0", "dress-d0", "coarse-grid", "short-grid", "inf-range",
         "overflowing-range", "nan-C", "overflowing-C", "nan-min-cond",
         "negative-min-cond", "overflowing-cell", "zc-placeholders",
+        "zc-rational-sign",
         "dt-convention", "normalize-v1", "normalize-default-v1",
         "random-matrix-v0", "random-matrix-v1", "random-matrix-v2"])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
@@ -230,8 +232,8 @@ def per_case_zc(argv) -> list:
     with the cases drawn in zc's order."""
     args = build_parser().parse_args(["zc", *argv])
     cases = []
-    if args.seed_kind == "rational":
-        sign = args.rational_sign
+    if args.seed_kind != "random":
+        sign = {"rational": 1, "rational-neg": -1}[args.seed_kind]
         c_val = parse_complex(args.C) if args.C is not None else 4.0 * sign
         eye = MatrixElement.eye(args.d)
         for z in np.linspace(1.0, 2.0, 9):
@@ -273,9 +275,8 @@ class TestZeroCurvatureBatch:
         ["--d", "3", "--seed", "4"], ["--d", "3", "--seed", "5"],
         ["--d", "2", "--seed", "6", "--C", "2-1j"],
         ["--seed-kind", "rational", "--d", "1"],
-        ["--seed-kind", "rational", "--d", "3", "--rational-sign", "-1"],
-        ["--seed-kind", "rational", "--d", "2", "--rational-sign", "-1",
-         "--C", "2-1j"],
+        ["--seed-kind", "rational-neg", "--d", "3"],
+        ["--seed-kind", "rational-neg", "--d", "2", "--C", "2-1j"],
     ], ids=["d1-s0", "d1-s1", "d2-s2", "d2-s3", "d3-s4", "d3-s5", "fixed-C",
             "rational", "rational-neg", "rational-neg-fixed-C"])
     def test_matches_per_case_evaluation(self, argv, capsys):
@@ -322,6 +323,18 @@ class TestDressCommand:
         assert stage0["residual_sup"] <= 1e-5
         assert stage0["masked_fraction"] == 0.0
 
+    @pytest.mark.parametrize("seed, sign", [
+        ("rational", 1), ("rational-neg", -1), ("zero", 0)],
+        ids=["rational", "rational-neg", "zero"])
+    def test_each_seed_defaults_to_its_own_C(self, seed, sign, tmp_path):
+        # v = s/z solves P-II at C = 4s, so with no --C stage 0 is exact.
+        code = run(["dress", "--N", "0", "--seed", seed,
+                    "--z", "1:1.2:0.001"], tmp_path)
+        assert code == 0
+        report = load_report(tmp_path, "dress_report.json")
+        assert report["results"]["stages"][0]["residual_sup"] <= 1e-5
+        assert report["parameters"]["C"] == [4.0 * sign, 0.0]
+
     def test_two_fold_composition(self, tmp_path):
         code = run(["dress", "--N", "2", "--gamma", "i,2i", "--seed",
                     "rational", "--C", "4", "--z", "1:1.2:0.002"], tmp_path)
@@ -350,6 +363,17 @@ class TestDressCommand:
         assert err == [f"usage error: --seed {seed} has a pole at z = 0, "
                        f"inside --z {z}"]
         assert not list(tmp_path.iterdir())
+
+    # The zero seed has no pole, so it dresses over z = 0, including grid
+    # points that land on 0.0 exactly (-0.5 + 500 * 0.001 is 0.0).
+    @pytest.mark.parametrize("z", ["-0.5:0.5:0.001", "0:1:0.001",
+                                   "-1:0:0.001"])
+    def test_zero_seed_crosses_z_zero(self, z, tmp_path):
+        code = run(["dress", "--N", "1", "--gamma", "i", "--seed", "zero",
+                    f"--z={z}"], tmp_path)
+        assert code == 0
+        report = load_report(tmp_path, "dress_report.json")
+        assert len(report["results"]["stages"]) == 2
 
 
 @pytest.mark.parametrize("argv, option, value", [
