@@ -223,7 +223,7 @@ def _zc_case_stats(state: PiiState) -> dict:
     res = zero_curvature_residual(state)
     a = build_A(state)
     b = build_B(state.v, state.lam)
-    scale = np.fmax(1.0, np.multiply(a.point_norms(), b.point_norms()))
+    scale = np.fmax(1.0, a.point_norms() * b.point_norms())
     pii = pii_residual_exact(state.v, state.v_zz, state.z, state.C)
     one_minus = res.entry(0, 1) + 1j * pii
     one_plus = res.entry(1, 0) - 1j * pii
@@ -245,10 +245,13 @@ def run_zero_curvature(args):
         raise UsageError("--lambda needs at least one value")
     kind = args.seed_kind
 
+    # Random cases without --C each draw their own C; None is recorded.
+    c_val = parse_complex(args.C) if args.C is not None else None
     cases = []
     if kind in SEED_SIGNS:
         s = SEED_SIGNS[kind]
-        c_val = parse_complex(args.C) if args.C is not None else 4.0 * s
+        if c_val is None:
+            c_val = complex(4 * s)
         eye = MatrixElement.eye(args.d)
         for z in np.linspace(1.0, 2.0, 9):
             v = (s / z) * eye
@@ -260,23 +263,23 @@ def run_zero_curvature(args):
         for _ in range(args.trials):
             v, v_z, v_zz = (random_matrix(rng, args.d) for _ in range(3))
             z = complex(rng.standard_normal(), rng.standard_normal())
-            c_val = (parse_complex(args.C) if args.C is not None
-                     else complex(rng.standard_normal(),
-                                  rng.standard_normal()))
-            cases.append((v, v_z, v_zz, z, c_val))
+            c_case = (c_val if c_val is not None
+                      else complex(rng.standard_normal(),
+                                   rng.standard_normal()))
+            cases.append((v, v_z, v_zz, z, c_case))
     # Blocks of cases stacked along the batch axis, z and C one per case.
     blocks = []
     for lo in range(0, len(cases), STENCIL_BLOCK):
-        v, v_z, v_zz, z, c_val = zip(*cases[lo:lo + STENCIL_BLOCK])
+        v, v_z, v_zz, z, c = zip(*cases[lo:lo + STENCIL_BLOCK])
         blocks.append([MatrixElement([el.data for el in f])
-                       for f in (v, v_z, v_zz)] + [z, c_val])
+                       for f in (v, v_z, v_zz)] + [z, c])
 
     def sweep(lam):
         # numpy overflows show in the finiteness check of each case; Python
         # complex arithmetic (lam ** 2 in build_A) raises OverflowError.
         try:
-            stats = [_zc_case_stats(PiiState(v, v_z, v_zz, z, lam, c_val))
-                     for v, v_z, v_zz, z, c_val in blocks]
+            stats = [_zc_case_stats(PiiState(v, v_z, v_zz, z, lam, c))
+                     for v, v_z, v_zz, z, c in blocks]
         except OverflowError as exc:
             raise FloatingPointError(
                 f"zero-curvature check overflows at lambda = {lam}: {exc}"
@@ -296,7 +299,7 @@ def run_zero_curvature(args):
 
     parameters = {
         "seed_kind": kind, "d": args.d,
-        "lambdas": lambdas, "C": args.C,
+        "lambdas": lambdas, "C": c_val,
         "trials": args.trials, "seed": args.seed,
     }
     results = {
@@ -402,7 +405,7 @@ def _lax_samples(samples: SymState) -> list[dict]:
         else:
             scale = np.fmax(1.0, batch.v0.point_norms()
                             + batch.v1.point_norms() + batch.v2.point_norms())
-            residuals[keep] = np.divide(res.point_norms(), scale)
+            residuals[keep] = res.point_norms() / scale
             break
     return [{"t": t, "residual": None, "error": errors[k]} if k in errors
             else {"t": t, "residual": r}

@@ -27,7 +27,8 @@ from math import factorial, hypot, perm
 
 import numpy as np
 
-from .ring import DimensionMismatchError, NearSingularError, RingElement
+from .ring import (COND_FLOOR, DimensionMismatchError, NearSingularError,
+                   RingElement)
 
 DEFAULT_CAP = 16
 
@@ -243,7 +244,7 @@ class MoyalPolynomial(RingElement):
                 condition=float("inf"))
         c0 = self.coefficient(0, 0)
         scale = max(self.norm(), 1e-300)
-        if abs(c0) <= 1e-12 * scale:
+        if abs(c0) <= COND_FLOOR * scale:
             cond = float("inf") if c0 == 0 else scale / abs(c0)
             raise NearSingularError(
                 "constant term too small for the star-inverse series",

@@ -13,25 +13,11 @@ below implement.  All indices in this module are 0-based.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 import numpy as np
 
-from .ring import _HUGE, MatrixElement, NearSingularError, RingElement
-
-
-def _root_sum_squares(norms) -> float:
-    """(sum of n ** 2) ** 0.5 over Python floats, in order.  When some n
-    exceeds ring._HUGE, every n is first divided by a power of two that
-    brings the largest near 1, and it is multiplied back at the end, so
-    no square raises OverflowError; a norm past the float range is inf."""
-    exp = max((math.frexp(n)[1] for n in norms if _HUGE < n < math.inf),
-              default=None)
-    if exp is None:
-        return sum(n ** 2 for n in norms) ** 0.5
-    root = sum(math.ldexp(n, -exp) ** 2 for n in norms) ** 0.5
-    return float(np.ldexp(root, exp))
+from .ring import MatrixElement, NearSingularError, RingElement, row_norms
 
 
 class BlockMatrix:
@@ -125,17 +111,15 @@ class BlockMatrix:
         return BlockMatrix([row[c0:c1] for row in self.entries[r0:r1]])
 
     def norm(self) -> float:
-        return _root_sum_squares([e.norm() for row in self.entries
-                                  for e in row])
+        return float(row_norms(np.array([e.norm() for row in self.entries
+                                         for e in row])))
 
-    def point_norms(self) -> list[float]:
+    def point_norms(self) -> np.ndarray:
         """``norm()`` of each batch position of MatrixElement entries, bit
-        for bit: the same Python float squares (not numpy's), summed in the
-        same order.  Unbatched entries broadcast."""
+        for bit.  Unbatched entries broadcast."""
         norms = np.broadcast_arrays(*(np.atleast_1d(e.point_norms())
                                       for row in self.entries for e in row))
-        return [_root_sum_squares(point)
-                for point in zip(*(a.tolist() for a in norms))]
+        return row_norms(np.stack(norms, axis=-1))
 
     def allclose(self, other, rtol=1e-9, atol=1e-12) -> bool:
         self._require_same_shape(other)

@@ -28,7 +28,9 @@ number reported.  A position it accepts is refused all the same when
 LAPACK cannot invert it or its inverse is not finite, as with subnormal
 entries.  A position with a non-finite entry is refused as not finite.
 Norms of entries past 2**500 are summed from entries scaled by a power of
-two, so a norm overflows only past the float range.
+two, so a norm overflows only past the float range; ``row_norms`` does it,
+for ``MatrixElement`` and for ``quasidet.BlockMatrix``, whose norms sum the
+squares of its entries' norms.
 """
 
 from __future__ import annotations
@@ -273,13 +275,11 @@ class MatrixElement(RingElement):
         return _wrap(inverse)
 
     def norm(self) -> float:
-        flat = self.data.reshape(1, -1)
-        return float(_rescale_huge(flat, _frobenius(flat))[0])
+        return float(row_norms(self.data.reshape(1, -1))[0])
 
     def point_norms(self) -> np.ndarray:
         """Frobenius norm of each batch position, as ``norm`` computes it."""
-        flat = self.data.reshape(*self.data.shape[:-2], -1)
-        return _rescale_huge(flat, _frobenius(flat))
+        return row_norms(self.data.reshape(*self.data.shape[:-2], -1))
 
     def one_like(self):
         return MatrixElement.eye(self.data.shape[-1])
@@ -330,20 +330,18 @@ def _wrap(arr: np.ndarray) -> MatrixElement:
     return el
 
 
-def _frobenius(flat: np.ndarray) -> np.ndarray:
-    # Summed over the strided real and imaginary views, as numpy's own norm
-    # sums a complex array, so a norm keeps its bits.  A sum that overflows
-    # is summed again by _rescale_huge.
+def row_norms(flat: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis of ``flat``, real or complex.
+
+    Summed over the strided real and imaginary views, as numpy's own norm
+    sums a complex array, so a norm keeps its bits.  Each row whose largest
+    modulus exceeds _HUGE is summed again from the row times an exact power
+    of two, which is divided back out: such a norm is inf only when it is
+    past the float range.  Other rows keep their bits.
+    """
     with np.errstate(over="ignore"):
-        return np.sqrt(np.vecdot(flat.real, flat.real)
-                       + np.vecdot(flat.imag, flat.imag))
-
-
-def _rescale_huge(flat: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """``norms``, the Frobenius norms along the last axis of ``flat``, with
-    each row whose largest modulus exceeds _HUGE summed again from the row
-    times an exact power of two, which is divided back out: such a norm is
-    inf only when it is past the float range.  Other rows keep their bits."""
+        norms = np.sqrt(np.vecdot(flat.real, flat.real)
+                        + np.vecdot(flat.imag, flat.imag))
     rows = np.flatnonzero(norms > _HUGE)
     if not rows.size:
         return norms
@@ -353,12 +351,14 @@ def _rescale_huge(flat: np.ndarray, norms: np.ndarray) -> np.ndarray:
     exp = np.frexp(peak[huge])[1]
     out = np.array(norms)
     out.flat[rows[huge]] = np.ldexp(
-        _frobenius(x[huge] * np.ldexp(1.0, -exp)[:, None]), exp)
+        row_norms(x[huge] * np.ldexp(1.0, -exp)[:, None]), exp)
     return out[()]
 
 
 def _squared_norms(data: np.ndarray) -> np.ndarray:
     """|A|_F^2 of each batch position, unscaled: inf past about 1e154."""
+    # Not row_norms: an underflow here must meet an overflow that certifies
+    # nothing, or 1e-170 * diag(1, 1e-14), condition 1e14, would pass.
     flat = data.reshape(*data.shape[:-2], -1)
     return np.vecdot(flat, flat).real
 

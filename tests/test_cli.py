@@ -301,6 +301,18 @@ class TestZeroCurvatureBatch:
         _, results, _ = args.run(args)
         assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
 
+    @pytest.mark.parametrize("argv, C", [
+        (["--seed-kind", "rational"], [4.0, 0.0]),
+        (["--seed-kind", "rational-neg"], [-4.0, 0.0]),
+        (["--seed-kind", "random", "--C", "2-1j"], [2.0, -1.0]),
+        (["--seed-kind", "random"], None),
+    ], ids=["rational", "rational-neg", "random-fixed-C", "random"])
+    def test_report_records_the_C_it_used(self, argv, C, tmp_path, capsys):
+        # Random cases without --C each draw their own C: none is recorded.
+        assert run(["zc", "--d", "1", "--trials", "3", *argv], tmp_path) == 0
+        report = load_report(tmp_path, "zc_report.json")
+        assert report["parameters"]["C"] == C
+
 
 class TestDressCommand:
     def test_single_fold_rational(self, tmp_path):

@@ -60,7 +60,8 @@ class TestBlockArithmetic:
         # the sum of the entry norms' squares may overflow.
         scales = np.resize([1.0, 1e160, 1e153], 9)[:, None, None]
         # Then 20 positions whose entries have norms x with x ** 2 != x * x,
-        # so only norm()'s own Python squares give its bits.
+        # so norm() and point_norms() keep the same bits only when they
+        # square and sum the entry norms the same way.
         xs = rng.standard_normal(200_000).tolist()
         awkward = np.array([x for x in xs if x ** 2 != x * x][:60])
         assert len(awkward) == 60
@@ -275,3 +276,15 @@ class TestMoyalBackend:
         # both routes go through truncated star inverses; agreement is
         # limited by the series tail, not by the quasideterminant algebra
         assert (direct - oracle).norm() <= 1e-8
+
+    def test_norm_past_the_square_safe_range(self):
+        # One entry's norm squared overflows; the sum is scaled instead.
+        def p(coeffs):
+            return MoyalPolynomial(coeffs, 0.05, 4)
+        m = BlockMatrix([[p({(0, 0): 3e200, (1, 0): -4e200j}),
+                          p({(0, 0): 0.5})],
+                         [p({(1, 1): 1e154}), p({(0, 0): 1.0, (0, 2): 2.0})]])
+        entry_norms = [e.norm() for row in m.entries for e in row]
+        assert max(entry_norms) > 1e154
+        assert np.isfinite(m.norm())
+        assert m.norm() == pytest.approx(math.hypot(*entry_norms), rel=1e-15)
