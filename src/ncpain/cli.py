@@ -26,7 +26,7 @@ import numpy as np
 
 from .dressing import (DressingChain, SpectralPoint, integrate_linear,
                        masked_iterated, masked_n_fold)
-from .grid import GridFunction
+from .grid import MIN_STENCIL_LENGTH, GridFunction
 from .laxpair import (NORMALIZED_ALPHA_SUM, STENCIL_BLOCK, PiiState,
                       SymState, build_A, build_B, first_integral_drift,
                       integrate_symmetric, lax_residual_symmetric,
@@ -341,8 +341,7 @@ def run_dressing(args):
         return (s / z if s else 0.0) * eye
 
     seed_grid = GridFunction.sample(seed_fn, z0, h, n)
-    one = seed_grid[0].one_like()
-    pairs = (integrate_linear(seed_fn, gammas, (one, one), z0, h, n)
+    pairs = (integrate_linear(seed_fn, gammas, (eye, eye), z0, h, n)
              if gammas else [])
     points = [SpectralPoint(g, chi, phi)
               for g, (chi, phi) in zip(gammas, pairs)]
@@ -447,16 +446,13 @@ def run_symmetric(args):
     path = flow.path
     covered = len(path.t)
 
-    sample_count = min(11, covered)
-    sample_idx = sorted({round(i * (covered - 1) / (sample_count - 1))
-                         for i in range(sample_count)}) \
-        if covered > 1 else [0]
+    sample_idx = sorted({round(i * (covered - 1) / 10) for i in range(11)})
     lax_samples = _lax_samples(path.at(sample_idx))
 
     drift = first_integral_drift(path)
 
     reduction = None
-    if args.normalize and not flow.truncated and covered >= 5:
+    if args.normalize and not flow.truncated and covered >= MIN_STENCIL_LENGTH:
         residual = reduction_check(path)
         reduction = {"sup": residual.sup_norm(),
                      "mean": residual.mean_norm()}

@@ -147,7 +147,6 @@ def zero_curvature_residual(s: PiiState) -> BlockMatrix:
     entry (0, 1) equals -i times the P-II residual and entry (1, 0)
     equals +i times it, independently of lambda.
     """
-    _require_lambda(s.lam)
     a = build_A(s)
     b = build_B(s.v, s.lam)
     return (_build_A_z(s) - _build_B_lambda(s.v)) - (b @ a - a @ b)

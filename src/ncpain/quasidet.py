@@ -70,13 +70,6 @@ class BlockMatrix:
     def __neg__(self):
         return BlockMatrix([[-a for a in row] for row in self.entries])
 
-    def __mul__(self, scalar):
-        if isinstance(scalar, BlockMatrix):
-            return NotImplemented
-        return BlockMatrix([[a * scalar for a in row] for row in self.entries])
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         if not isinstance(other, BlockMatrix):
             return NotImplemented

@@ -2,7 +2,9 @@
 
 Reports are deterministic for fixed parameters and seed: keys are sorted,
 complex numbers serialize as [re, im] pairs, and only the wall-clock
-duration field differs between identical runs.
+duration field differs between identical runs.  Callers pass plain Python
+values (dicts, lists, tuples, bool, int, float, complex, str and None);
+numpy values are converted where they are computed, not here.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class ExperimentReport:
     results: dict
     duration_s: float
 
-    def as_dict(self) -> dict:
-        return {
+    def write(self, out_dir: str, filename: str) -> str:
+        report = {
             "experiment": self.experiment,
             "version": __version__,
             "parameters": jsonify(self.parameters),
@@ -50,15 +52,10 @@ class ExperimentReport:
             "results": jsonify(self.results),
             "duration_s": self.duration_s,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
-
-    def write(self, out_dir: str, filename: str) -> str:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, filename)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_json())
+            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         return path
 
 
@@ -70,15 +67,11 @@ def jsonify(value):
         return [jsonify(v) for v in value]
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, (np.bool_, np.integer)):
-        return value.item()
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         v = float(value)
         return v if np.isfinite(v) else repr(v)
-    if isinstance(value, (complex, np.complexfloating)):
+    if isinstance(value, complex):
         return [jsonify(value.real), jsonify(value.imag)]
-    if isinstance(value, np.ndarray):
-        return jsonify(value.tolist())
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

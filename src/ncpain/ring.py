@@ -159,14 +159,6 @@ class RingElement(abc.ABC):
             return self._mul(other)
         return NotImplemented
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, np.integer)) or exponent < 0:
-            return NotImplemented
-        out = self.one_like()
-        for _ in range(int(exponent)):
-            out = out._mul(self)
-        return out
-
 
 class MatrixElement(RingElement):
     """Complex d x d matrix, or a batch of them; d = 1 is the scalar backend.
@@ -184,8 +176,6 @@ class MatrixElement(RingElement):
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.complex128)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
         if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
             raise DimensionMismatchError(
                 f"expected (d, d) or (n, d, d) data, got shape {arr.shape}")
@@ -291,9 +281,6 @@ class MatrixElement(RingElement):
         """(smallest, largest) singular value of each batch position, from
         one batched SVD; a position with a non-finite entry reads (0, inf)."""
         finite = np.isfinite(self.data).all(axis=(-2, -1))
-        if finite.all():
-            s = np.linalg.svd(self.data, compute_uv=False)
-            return s[..., -1], s[..., 0]
         s = np.linalg.svd(np.where(finite[..., None, None], self.data, 0.0),
                           compute_uv=False)
         return (np.where(finite, s[..., -1], 0.0),

@@ -113,6 +113,20 @@ class TestQuasidetCommand:
         assert report["results"]["value"] == [-0.5, 0.0]
         assert report["results"]["discrepancy_rel"] <= 1e-12
 
+    def test_file_matches_inline(self, tmp_path):
+        text = '[[1, "2+i"], [3, 4]]'
+        path = tmp_path / "matrix.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["quasidet", "--file", str(path), "--pos", "1", "1"]
+        assert run(argv, tmp_path / "file") == 0
+        assert run(["quasidet", "--inline", text, "--pos", "1", "1"],
+                   tmp_path / "inline") == 0
+        by_file = load_report(tmp_path / "file", "quasidet_report.json")
+        inline = load_report(tmp_path / "inline", "quasidet_report.json")
+        assert by_file["results"] == inline["results"]
+        assert by_file["parameters"]["source"] == {"kind": "file",
+                                                   "path": str(path)}
+
     def test_zero_trailing_entry_of_submatrix(self, tmp_path):
         # A^11 = [[1,1],[1,0]] is invertible; its trailing entry is 0
         rows = [[1, 2, 0], [3, 1, 1], [1, 1, 0]]
@@ -548,6 +562,43 @@ def readme_commands() -> list:
 @pytest.mark.parametrize("argv", readme_commands())
 def test_readme_command_line_examples_run(argv, tmp_path, capsys):
     assert run(argv, tmp_path) == 0
+
+
+def _leaves(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _leaves(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _leaves(value)
+    else:
+        yield node
+
+
+@pytest.mark.parametrize("argv", [
+    ["quasidet", "--random", "4", "2", "--seed", "7", "--pos", "1", "3"],
+    ["zc", "--seed-kind", "rational", "--C", "4", "--lambda", "1,i,2-3i"],
+    ["zc", "--seed-kind", "random", "--d", "3", "--seed", "0"],
+    ["dress", "--N", "2", "--gamma", "i,2i", "--seed", "rational", "--C", "4",
+     "--z", "1:1.1:0.002"],
+    ["symmetric", "--v0", "0.1", "--v2", "0.3", "--alpha0", "0.5",
+     "--alpha1", "1.5", "--t", "0:0.1:0.001", "--normalize"],
+    ["symmetric", "--v0", "0", "--v1", "1", "--v2", "0.2",
+     "--t", "0:0.1:0.001"],
+    ["symmetric", "--v0", "5", "--v1", "1", "--v2", "-300",
+     "--t", "0:2:0.01"],
+], ids=["quasidet", "zc-rational", "zc-random", "dress", "symmetric",
+        "refused-sample", "truncated"])
+def test_reports_receive_plain_python_values(argv, tmp_path, capsys):
+    # reports.jsonify converts no numpy types: the commands hand over
+    # Python values.
+    args = build_parser().parse_args(argv + ["--out", str(tmp_path)])
+    with np.errstate(all="ignore"):
+        parameters, results, _ = args.run(args)
+    plain = {bool, int, float, complex, str, type(None)}
+    leaves = list(_leaves({"parameters": parameters, "results": results}))
+    assert leaves
+    assert {type(x) for x in leaves} <= plain
 
 
 class TestDeterminism:

@@ -507,3 +507,40 @@ class TestInverse:
     def test_non_finite_coefficient_raises(self, bad):
         with pytest.raises(NearSingularError, match="non-finite"):
             poly(bad).inv()
+
+    def test_dominant_higher_term_diverges(self):
+        with pytest.raises(NearSingularError, match="series diverges"):
+            MoyalPolynomial({(0, 0): 1, (1, 1): 50}, 0.5, 16).inv()
+
+    @pytest.mark.parametrize("c", [0.76, 0.77, 0.8])
+    def test_slow_series_does_not_converge(self, c):
+        # The terms neither shrink below the tolerance nor blow up.
+        with pytest.raises(NearSingularError,
+                           match="did not converge within 500 terms"):
+            MoyalPolynomial({(0, 0): 1, (1, 1): c}, 0.5, 8).inv()
+
+
+class TestAllclose:
+    RTOL, ATOL = 1e-6, 1e-9
+
+    def _close(self, p, q):
+        return p.allclose(q, rtol=self.RTOL, atol=self.ATOL)
+
+    def test_equal(self):
+        p = poly({(0, 0): 1.0, (1, 0): 0.5j})
+        assert self._close(p, poly({(0, 0): 1.0, (1, 0): 0.5j}))
+
+    @pytest.mark.parametrize("factor, close", [(0.5, True), (2.0, False)])
+    def test_bound_is_atol_plus_rtol_times_the_larger_norm(self, factor,
+                                                           close):
+        p = poly({(0, 0): 1.0, (1, 0): 0.5j})
+        bound = self.ATOL + self.RTOL * p.norm()
+        for key in ((1, 0), (0, 1)):  # a shared key and a key of one side
+            q = poly({**p.coeffs, key: p.coefficient(*key) + factor * bound})
+            assert self._close(p, q) is close
+            assert self._close(q, p) is close
+
+    def test_theta_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            poly({(0, 0): 1.0}, theta=0.1).allclose(
+                poly({(0, 0): 1.0}, theta=0.2))

@@ -180,6 +180,15 @@ class TestQuasideterminant:
             quasideterminant(m, 0, 1)  # deleted submatrix is [[0]]
         assert "(0,1)" in str(err.value)
 
+    def test_oracle_refuses_a_zero_inverse_entry(self):
+        # [[1,1],[1,0]] is invertible, but entry (0,0) of its inverse is 0.
+        m = scalar_block([[1, 1], [1, 0]])
+        with pytest.raises(NearSingularError) as err:
+            quasideterminant_oracle(m, 0, 0)
+        assert str(err.value) == ("matrix is near-singular (condition ~ inf) "
+                                  "[inverse entry (0,0)]")
+        assert err.value.condition == float("inf")
+
     @given(hst.integers(0, 10_000), hst.integers(2, 5), hst.integers(1, 3))
     @settings(max_examples=25, deadline=None)
     def test_oracle_equivalence(self, seed, n, d):
