@@ -3,21 +3,30 @@
 
 Prints error ratios under step halving: the flow and eigenfunction
 integrators should show ~16x (4th order), the second-difference residual
-of the exact rational solution ~4x (2nd order).
+of the exact rational solution ~4x (2nd order).  Every step keeps its
+error well above rounding (the smallest, the flow's at h = 2.5e-3, reads
+about 1e-13).  Exits 1 when a ratio leaves its band, [14, 18] for RK4 and
+[3.8, 4.2] for the stencil: an order has been lost.
+
+    PYTHONPATH=src python scripts/convergence_study.py
 """
+
+import sys
+
+import numpy as np
 
 from ncpain.ring import MatrixElement
 from ncpain.grid import GridFunction
 from ncpain.laxpair import (SymState, integrate_symmetric,
                             normalize_first_integral, pii_residual_grid)
 from ncpain.dressing import integrate_linear
+from ncpain.solutions import (SEED_SIGNS, seed_constant, seed_function,
+                              seed_jets)
 
 ONE = MatrixElement.eye(1)
-
-
-def seed(z):
-    """The rational seed v = 1/z, exact for P-II at C = 4."""
-    return (1.0 / z) * ONE
+SIGN = SEED_SIGNS["rational"]  # v = 1/z, exact for P-II at C = 4
+RK4_BAND = (14.0, 18.0)
+STENCIL_BAND = (3.8, 4.2)
 
 
 def flow_errors():
@@ -29,10 +38,12 @@ def flow_errors():
         return MatrixElement(integrate_symmetric(s0, 1.0, h).path.v2.data[-1])
 
     ref = endpoint(6.25e-5)
-    return [(h, (endpoint(h) - ref).norm()) for h in (4e-3, 2e-3, 1e-3)]
+    return [(h, (endpoint(h) - ref).norm()) for h in (1e-2, 5e-3, 2.5e-3)]
 
 
 def eigenfunction_errors():
+    seed = seed_function(SIGN, 1)
+
     def endpoint(h):
         n = round(1.0 / h) + 1
         chi, _ = integrate_linear(seed, 1j, (ONE, ONE), 1.0, h, n)
@@ -46,25 +57,38 @@ def stencil_errors():
     out = []
     for h in (4e-3, 2e-3, 1e-3):
         n = round(1.0 / h) + 1
-        grid = GridFunction.sample(seed, 1.0, h, n)
-        out.append((h, pii_residual_grid(grid, 4.0).sup_norm()))
+        v, _, _ = seed_jets(SIGN, 1.0 + h * np.arange(n), 1)
+        grid = GridFunction(1.0, h, v)
+        out.append((h, pii_residual_grid(grid, seed_constant(SIGN))
+                    .sup_norm()))
     return out
 
 
-def print_table(title, rows):
-    print(title)
-    prev = None
+def check_table(title, rows, band) -> bool:
+    """Print the errors and their ratios; True if every ratio is in band."""
+    lo, hi = band
+    print(f"{title} (expect {lo:g}x to {hi:g}x):")
+    ok, prev = True, None
     for h, err in rows:
-        ratio = "" if prev is None else f"  ratio {prev / err:6.2f}"
-        print(f"  h = {h:8.2e}   error = {err:10.3e}{ratio}")
+        line = f"  h = {h:8.2e}   error = {err:10.3e}"
+        if prev is not None:
+            line += f"  ratio {prev / err:6.2f}"
+            if not lo <= prev / err <= hi:
+                ok = False
+                line += "  OUT OF BAND"
+        print(line)
         prev = err
     print()
+    return ok
 
 
 if __name__ == "__main__":
-    print_table("symmetric flow endpoint error (expect ~16x):",
-                flow_errors())
-    print_table("eigenfunction integration endpoint error (expect ~16x):",
-                eigenfunction_errors())
-    print_table("rational-solution stencil residual (expect ~4x):",
-                stencil_errors())
+    ok = [check_table("symmetric flow endpoint error", flow_errors(),
+                      RK4_BAND),
+          check_table("eigenfunction integration endpoint error",
+                      eigenfunction_errors(), RK4_BAND),
+          check_table("rational-solution stencil residual",
+                      stencil_errors(), STENCIL_BAND)]
+    if not all(ok):
+        print("order of accuracy lost", file=sys.stderr)
+    sys.exit(0 if all(ok) else 1)

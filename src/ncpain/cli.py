@@ -37,6 +37,7 @@ from .quasidet import (BlockMatrix, quasideterminant, quasideterminant_oracle)
 from .reports import ExperimentReport, write_grid_csv
 from .ring import (COND_FLOOR, MatrixElement, NearSingularError,
                    random_invertible, random_matrix)
+from .solutions import SEED_SIGNS, seed_constant, seed_function, seed_jets
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -211,11 +212,6 @@ def run_quasidet(args):
     return parameters, results, EXIT_OK
 
 
-# The seed solutions v = s/z of P-II, v'' = 2v^3 - 4zv + C, at C = 4s: the
-# sign s of each seed name, for zc's jets and dress's seed function.
-SEED_SIGNS = {"rational": 1, "rational-neg": -1, "zero": 0}
-
-
 # -- zc ----------------------------------------------------------------------
 
 def _zc_case_stats(state: PiiState) -> dict:
@@ -247,19 +243,15 @@ def run_zero_curvature(args):
 
     # Random cases without --C each draw their own C; None is recorded.
     c_val = parse_complex(args.C) if args.C is not None else None
-    cases = []
     if kind in SEED_SIGNS:
         s = SEED_SIGNS[kind]
         if c_val is None:
-            c_val = complex(4 * s)
-        eye = MatrixElement.eye(args.d)
-        for z in np.linspace(1.0, 2.0, 9):
-            v = (s / z) * eye
-            v_z = (-s / z ** 2) * eye
-            v_zz = (2 * s / z ** 3) * eye
-            cases.append((v, v_z, v_zz, complex(z), c_val))
+            c_val = seed_constant(s)
+        z = np.linspace(1.0, 2.0, 9)
+        blocks = [[*seed_jets(s, z, args.d), z, c_val]]
     else:
         rng = np.random.default_rng(args.seed)
+        cases = []
         for _ in range(args.trials):
             v, v_z, v_zz = (random_matrix(rng, args.d) for _ in range(3))
             z = complex(rng.standard_normal(), rng.standard_normal())
@@ -267,12 +259,12 @@ def run_zero_curvature(args):
                       else complex(rng.standard_normal(),
                                    rng.standard_normal()))
             cases.append((v, v_z, v_zz, z, c_case))
-    # Blocks of cases stacked along the batch axis, z and C one per case.
-    blocks = []
-    for lo in range(0, len(cases), STENCIL_BLOCK):
-        v, v_z, v_zz, z, c = zip(*cases[lo:lo + STENCIL_BLOCK])
-        blocks.append([MatrixElement([el.data for el in f])
-                       for f in (v, v_z, v_zz)] + [z, c])
+        # Blocks of cases stacked along the batch axis, z and C one per case.
+        blocks = []
+        for lo in range(0, len(cases), STENCIL_BLOCK):
+            v, v_z, v_zz, z, c = zip(*cases[lo:lo + STENCIL_BLOCK])
+            blocks.append([MatrixElement([el.data for el in f])
+                           for f in (v, v_z, v_zz)] + [z, c])
 
     def sweep(lam):
         # numpy overflows show in the finiteness check of each case; Python
@@ -334,18 +326,14 @@ def run_dressing(args):
     if s != 0 and z0 <= 0.0 <= z_end + 1e-9 * max(1.0, z_end - z0):
         raise UsageError(f"--seed {args.seed} has a pole at z = 0, "
                          f"inside --z {args.z}")
-    c_val = parse_complex(args.C) if args.C is not None else complex(4 * s)
+    c_val = parse_complex(args.C) if args.C is not None else seed_constant(s)
     eye = MatrixElement.eye(args.d)
-
-    def seed_fn(z):
-        return (s / z if s else 0.0) * eye
-
-    seed_grid = GridFunction.sample(seed_fn, z0, h, n)
-    pairs = (integrate_linear(seed_fn, gammas, (eye, eye), z0, h, n)
-             if gammas else [])
+    v, _, _ = seed_jets(s, z0 + h * np.arange(n), args.d)
+    pairs = (integrate_linear(seed_function(s, args.d), gammas, (eye, eye),
+                              z0, h, n) if gammas else [])
     points = [SpectralPoint(g, chi, phi)
               for g, (chi, phi) in zip(gammas, pairs)]
-    chain = DressingChain(tuple(points), seed_grid)
+    chain = DressingChain(tuple(points), GridFunction(z0, h, v))
 
     grids, masks = masked_n_fold(chain, args.N)
     stage_stats = []

@@ -25,6 +25,7 @@ from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
                              iterated_darboux, masked_n_fold,
                              quasidet_eigenfunctions)
 from ncpain.cli import main
+from ncpain.solutions import seed_function, seed_jets
 
 from conftest import all_quasideterminants, n_fold
 
@@ -78,20 +79,17 @@ def test_criterion_2_rational_seed():
     worst_curvature = 0.0
     worst_grid = 0.0
     for sign, c_val in ((1, 4.0), (-1, -4.0)):
-        one = MatrixElement.eye(2)
-        for z in np.linspace(1.0, 2.0, 7):
-            v = (sign / z) * one
-            v_z = (-sign / z ** 2) * one
-            v_zz = (2 * sign / z ** 3) * one
-            worst_exact = max(worst_exact,
-                              pii_residual_exact(v, v_zz, z, c_val).norm())
-            for lam in LAMBDAS:
-                s = PiiState(v, v_z, v_zz, complex(z), lam, c_val)
-                worst_curvature = max(worst_curvature,
-                                      zero_curvature_residual(s).norm())
-        scalar_one = MatrixElement.eye(1)
-        grid = GridFunction.sample(lambda z: (sign / z) * scalar_one,
-                                   1.0, 1e-3, 1001)
+        z = np.linspace(1.0, 2.0, 7)
+        v, v_z, v_zz = seed_jets(sign, z, 2)
+        worst_exact = max(worst_exact, pii_residual_exact(
+            v, v_zz, z, c_val).point_norms().max())
+        for lam in LAMBDAS:
+            s = PiiState(v, v_z, v_zz, z, lam, c_val)
+            worst_curvature = max(
+                worst_curvature,
+                zero_curvature_residual(s).point_norms().max())
+        scalar_v, _, _ = seed_jets(sign, 1.0 + 1e-3 * np.arange(1001), 1)
+        grid = GridFunction(1.0, 1e-3, scalar_v)
         worst_grid = max(worst_grid,
                          pii_residual_grid(grid, c_val).sup_norm())
     elapsed = time.perf_counter() - t0
@@ -253,9 +251,10 @@ def test_criterion_5_symmetric_lax():
 def test_criterion_6_darboux_pipeline():
     t0 = time.perf_counter()
     one = MatrixElement.eye(1)
-    seed_fn = lambda z: (1.0 / z) * one
+    seed_fn = seed_function(1, 1)
     z0, h, n = 1.0, 1e-3, 1001
-    seed = GridFunction.sample(seed_fn, z0, h, n)
+    zs = z0 + h * np.arange(n)
+    seed = GridFunction(z0, h, seed_jets(1, zs, 1)[0])
 
     points = []
     for gamma in (1j, 2j):
@@ -282,8 +281,7 @@ def test_criterion_6_darboux_pipeline():
                        zip(v2_product, v2_iterated)) / scale2
 
     # zero seed is an exact fixed point
-    zero_seed = GridFunction(z0, h, tuple(MatrixElement.zeros(1)
-                                          for _ in range(n)))
+    zero_seed = GridFunction(z0, h, seed_jets(0, zs, 1)[0])
     zero_chain = DressingChain(tuple(points), zero_seed)
     zero_norm = n_fold(zero_chain, 2).sup_norm()
 

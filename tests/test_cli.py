@@ -244,6 +244,7 @@ def _case_stats(s: PiiState) -> dict:
 def per_case_zc(argv) -> list:
     """zc's per-lambda results from one evaluation per case and lambda,
     with the cases drawn in zc's order."""
+    # Spells the seed itself, not ncpain.solutions: zc's independent reference.
     args = build_parser().parse_args(["zc", *argv])
     cases = []
     if args.seed_kind != "random":
@@ -391,7 +392,9 @@ class TestDressCommand:
         assert not list(tmp_path.iterdir())
 
     # The zero seed has no pole, so it dresses over z = 0, including grid
-    # points that land on 0.0 exactly (-0.5 + 500 * 0.001 is 0.0).
+    # points that land on 0.0 exactly (-0.5 + 500 * 0.001 is 0.0).  Its
+    # grid is +0.0 everywhere: 0/z would read NaN at z = 0 (a "nan"
+    # residual) and -0.0 below it.
     @pytest.mark.parametrize("z", ["-0.5:0.5:0.001", "0:1:0.001",
                                    "-1:0:0.001"])
     def test_zero_seed_crosses_z_zero(self, z, tmp_path):
@@ -399,7 +402,13 @@ class TestDressCommand:
                     f"--z={z}"], tmp_path)
         assert code == 0
         report = load_report(tmp_path, "dress_report.json")
-        assert len(report["results"]["stages"]) == 2
+        stages = report["results"]["stages"]
+        assert len(stages) == 2
+        assert stages[0]["residual_sup"] == 0.0
+        assert stages[0]["masked_fraction"] == 0.0
+        rows = (tmp_path / "dress_v0.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1001
+        assert all(row.split(",")[1:] == ["0.0", "0.0"] for row in rows)
 
 
 @pytest.mark.parametrize("argv, option, value", [

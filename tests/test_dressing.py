@@ -5,6 +5,7 @@ from ncpain.ring import MatrixElement, NearSingularError
 from ncpain.quasidet import BlockMatrix, determinant_ratio, quasideterminant
 from ncpain.grid import GridFunction
 from ncpain.laxpair import build_B
+from ncpain.solutions import seed_function
 from ncpain.dressing import (DressingChain, SpectralPoint, _masked,
                              darboux_once,
                              dt_eigenfunctions, integrate_linear,
@@ -20,8 +21,7 @@ def zero_field(z):
     return MatrixElement.zeros(1)
 
 
-def rational_field(z):
-    return (1.0 / z) * ONE
+rational_field = seed_function(1, 1)
 
 
 def random_grid(rng, d, n=8, z0=1.0, h=1e-3, shift=2.0):

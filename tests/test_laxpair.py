@@ -10,6 +10,7 @@ from ncpain.ring import (MatrixElement, _certified_inverse, anticommutator,
 from ncpain.grid import GridFunction
 from ncpain.moyal import MoyalPolynomial
 from ncpain.quasidet import BlockMatrix
+from ncpain.solutions import seed_constant, seed_jets
 from ncpain.laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A,
                             build_B, build_L, build_P, first_integral,
                             first_integral_drift, integrate_symmetric,
@@ -51,10 +52,8 @@ def random_pii_state(rng, d, lam=1j):
 
 
 def rational_state(d, z, lam, sign=1):
-    one = MatrixElement.eye(d)
-    return PiiState(v=(sign / z) * one, v_z=(-sign / z ** 2) * one,
-                    v_zz=(2 * sign / z ** 3) * one, z=z, lam=lam,
-                    C=4.0 * sign)
+    v, v_z, v_zz = seed_jets(sign, np.array([z]), d)
+    return PiiState(v, v_z, v_zz, z=z, lam=lam, C=seed_constant(sign))
 
 
 class TestSpectralMatrices:
@@ -148,16 +147,14 @@ class TestPiiResidual:
 
     @pytest.mark.parametrize("sign,c_val", [(1, 4.0), (-1, -4.0)])
     def test_rational_solution_exact(self, sign, c_val):
-        one = MatrixElement.eye(2)
-        for z in (1.0, 1.31, 2.0):
-            v = (sign / z) * one
-            v_zz = (2 * sign / z ** 3) * one
-            assert pii_residual_exact(v, v_zz, z, c_val).norm() <= 1e-14
+        z = np.array([1.0, 1.31, 2.0])
+        v, _, v_zz = seed_jets(sign, z, 2)
+        res = pii_residual_exact(v, v_zz, z, c_val)
+        assert res.point_norms().max() <= 1e-14
 
     def test_grid_residual_of_rational_seed(self):
-        one = MatrixElement.eye(1)
-        f = GridFunction.sample(lambda z: (1.0 / z) * one, 1.0, 1e-3, 1001)
-        res = pii_residual_grid(f, 4.0)
+        v, _, _ = seed_jets(1, 1.0 + 1e-3 * np.arange(1001), 1)
+        res = pii_residual_grid(GridFunction(1.0, 1e-3, v), 4.0)
         # stencil error ~ v'''' h^2 / 12 = 2 h^2 / z^5, about 2e-6 at z = 1
         assert res.sup_norm() <= 1e-5
         assert res.sup_norm() >= 1e-8
