@@ -36,18 +36,13 @@ from .laxpair import (NORMALIZED_ALPHA_SUM, STENCIL_BLOCK, PiiState,
 from .quasidet import (BlockMatrix, quasideterminant, quasideterminant_oracle)
 from .reports import ExperimentReport, write_grid_csv
 from .ring import (COND_FLOOR, MatrixElement, NearSingularError,
-                   random_invertible, random_matrix)
+                   random_invertible)
 from .solutions import SEED_SIGNS, seed_constant, seed_function, seed_jets
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_TRUNCATED = 3
-
-
-class UsageError(ValueError):
-    """Bad command-line input.  ``main`` reports it, like every ValueError
-    the library raises on input it rejects, with exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?[\dij]", re.I)
 
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def positive_int(text: str) -> int:
@@ -104,9 +99,9 @@ def parse_complex(text: str) -> complex:
     try:
         value = complex(cleaned)
     except ValueError:
-        raise UsageError(f"cannot parse complex number {text!r}")
+        raise ValueError(f"cannot parse complex number {text!r}")
     if not np.isfinite(value):
-        raise UsageError(f"number must be finite, got {text!r}")
+        raise ValueError(f"number must be finite, got {text!r}")
     return value
 
 
@@ -117,19 +112,19 @@ def parse_complex_list(text: str) -> list[complex]:
 def parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"range must be start:stop:step, got {text!r}")
+        raise ValueError(f"range must be start:stop:step, got {text!r}")
     try:
         z0, z1, h = (float(p) for p in parts)
     except ValueError:
-        raise UsageError(f"range must be numeric, got {text!r}")
+        raise ValueError(f"range must be numeric, got {text!r}")
     if not (h > 0 and z1 > z0):
-        raise UsageError("range needs stop > start and step > 0")
+        raise ValueError("range needs stop > start and step > 0")
     steps = (z1 - z0) / h
     if not np.isfinite(steps):
-        raise UsageError(f"range must be finite, got {text!r}")
+        raise ValueError(f"range must be finite, got {text!r}")
     n = round(steps) + 1
     if n < 2 or abs((n - 1) * h - (z1 - z0)) > 1e-9 * max(1.0, z1 - z0):
-        raise UsageError("range is not an integral number of steps")
+        raise ValueError("range is not an integral number of steps")
     return z0, h, n
 
 
@@ -139,14 +134,14 @@ def _number_from_json(node) -> complex:
         return complex(node)
     if isinstance(node, str):
         return parse_complex(node)
-    raise UsageError(f"cannot read matrix entry {node!r}")
+    raise ValueError(f"cannot read matrix entry {node!r}")
 
 
 def _entry_from_json(node) -> MatrixElement:
     if not isinstance(node, list):
         return MatrixElement.scalar(_number_from_json(node))
     if not all(isinstance(row, list) for row in node):
-        raise UsageError("matrix entry rows must be lists")
+        raise ValueError("matrix entry rows must be lists")
     return MatrixElement(np.array([[_number_from_json(x) for x in row]
                                    for row in node], dtype=complex))
 
@@ -156,9 +151,9 @@ def _matrix_from_json(text: str) -> BlockMatrix:
         data = json.loads(text, parse_float=parse_complex,
                           parse_int=parse_complex)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid matrix JSON: {exc}")
+        raise ValueError(f"invalid matrix JSON: {exc}")
     if not isinstance(data, list) or not data:
-        raise UsageError("matrix JSON must be a non-empty list of rows")
+        raise ValueError("matrix JSON must be a non-empty list of rows")
     return BlockMatrix([[_entry_from_json(x) for x in row] for row in data])
 
 
@@ -192,7 +187,7 @@ def run_quasidet(args):
         source = {"kind": "random", "n": n, "d": d, "seed": args.seed}
     i, j = args.pos
     if not (1 <= i <= matrix.n and 1 <= j <= matrix.n):
-        raise UsageError(f"position ({i},{j}) outside {matrix.n}x{matrix.n}")
+        raise ValueError(f"position ({i},{j}) outside {matrix.n}x{matrix.n}")
 
     value = quasideterminant(matrix, i - 1, j - 1)
     oracle = quasideterminant_oracle(matrix, i - 1, j - 1)
@@ -238,7 +233,7 @@ def _zc_case_stats(state: PiiState) -> dict:
 def run_zero_curvature(args):
     lambdas = parse_complex_list(args.lam)
     if not lambdas:
-        raise UsageError("--lambda needs at least one value")
+        raise ValueError("--lambda needs at least one value")
     kind = args.seed_kind
 
     # Random cases without --C each draw their own C; None is recorded.
@@ -250,21 +245,18 @@ def run_zero_curvature(args):
         z = np.linspace(1.0, 2.0, 9)
         blocks = [[*seed_jets(s, z, args.d), z, c_val]]
     else:
-        rng = np.random.default_rng(args.seed)
-        cases = []
-        for _ in range(args.trials):
-            v, v_z, v_zz = (random_matrix(rng, args.d) for _ in range(3))
-            z = complex(rng.standard_normal(), rng.standard_normal())
-            c_case = (c_val if c_val is not None
-                      else complex(rng.standard_normal(),
-                                   rng.standard_normal()))
-            cases.append((v, v_z, v_zz, z, c_case))
+        # A row per case: v, v_z, v_zz (real, then imaginary), z, C if drawn.
+        d2 = 6 * args.d ** 2
+        draws = np.random.default_rng(args.seed).standard_normal(
+            (args.trials, d2 + (4 if c_val is None else 2)))
+        m = draws[:, :d2].reshape(-1, 3, 2, args.d, args.d)
+        v = (m[:, :, 0] + 1j * m[:, :, 1]).swapaxes(0, 1)
+        # Python numbers: numpy's complex scalars would round build_A apart.
+        z, *c = draws[:, d2:].view(complex).T.tolist()
         # Blocks of cases stacked along the batch axis, z and C one per case.
-        blocks = []
-        for lo in range(0, len(cases), STENCIL_BLOCK):
-            v, v_z, v_zz, z, c = zip(*cases[lo:lo + STENCIL_BLOCK])
-            blocks.append([MatrixElement([el.data for el in f])
-                           for f in (v, v_z, v_zz)] + [z, c])
+        blocks = [[*map(MatrixElement, v[:, k]), z[k], c[0][k] if c else c_val]
+                  for k in (slice(lo, lo + STENCIL_BLOCK)
+                            for lo in range(0, args.trials, STENCIL_BLOCK))]
 
     def sweep(lam):
         # numpy overflows show in the finiteness check of each case; Python
@@ -324,7 +316,7 @@ def run_dressing(args):
     z_end = z0 + (n - 1) * h
     s = SEED_SIGNS[args.seed]
     if s != 0 and z0 <= 0.0 <= z_end + 1e-9 * max(1.0, z_end - z0):
-        raise UsageError(f"--seed {args.seed} has a pole at z = 0, "
+        raise ValueError(f"--seed {args.seed} has a pole at z = 0, "
                          f"inside --z {args.z}")
     c_val = parse_complex(args.C) if args.C is not None else seed_constant(s)
     eye = MatrixElement.eye(args.d)
@@ -405,10 +397,10 @@ def run_symmetric(args):
     given = {k: getattr(args, k) for k in FIELD_DEFAULTS
              if getattr(args, k) is not None}
     if args.random_matrix is not None and given:
-        raise UsageError("--random-matrix draws v0, v1 and v2; "
+        raise ValueError("--random-matrix draws v0, v1 and v2; "
                          f"drop --{next(iter(given))}")
     if args.normalize and "v1" in given:
-        raise UsageError("--normalize sets v1 from the first integral; "
+        raise ValueError("--normalize sets v1 from the first integral; "
                          "drop --v1")
     if args.random_matrix is not None:
         d = args.random_matrix
@@ -425,7 +417,7 @@ def run_symmetric(args):
     state = SymState(v0, v1, v2, alpha0, alpha1, t0)
     if args.normalize:
         if abs(alpha0 + alpha1 - NORMALIZED_ALPHA_SUM) > 1e-12:
-            raise UsageError("--normalize requires alpha0 + alpha1 = 2")
+            raise ValueError("--normalize requires alpha0 + alpha1 = 2")
         state = normalize_first_integral(state)
         data_desc["v1"] = _matrix_value(state.v1)
 

@@ -29,9 +29,8 @@ import numpy as np
 from .grid import GridFunction, require_stencil_length
 from .integrators import rk4_path
 from .quasidet import BlockMatrix
-from .ring import (COND_FLOOR, MatrixElement, NearSingularError, RingElement,
-                   _certified_inverse, _squared_norms, _wrap,
-                   anticommutator)
+from .ring import (COND_FLOOR, MatrixElement, RingElement, _certified_inverse,
+                   _squared_norms, _wrap, anticommutator, inverse)
 
 NORMALIZED_ALPHA_SUM = 2.0
 # pii_residual_grid works in blocks of this many points to bound its memory.
@@ -203,16 +202,8 @@ def _L_blocks(s: SymState) -> list[BlockMatrix]:
 def _P_blocks(s: SymState) -> list[BlockMatrix]:
     one = s.v0.one_like()
     zero = s.v0.zero_like()
-    try:
-        v0_inv = s.v0.inv()
-    except NearSingularError as exc:
-        raise exc.relabel("v0") from exc
-    try:
-        v1_inv = s.v1.inv()
-    except NearSingularError as exc:
-        raise exc.relabel("v1") from exc
-    rho1 = -s.v2 - (0.5 * s.alpha0) * v0_inv
-    rho2 = -s.v2 + (0.5 * s.alpha1) * v1_inv
+    rho1 = -s.v2 - (0.5 * s.alpha0) * inverse(s.v0, "v0")
+    rho2 = -s.v2 + (0.5 * s.alpha1) * inverse(s.v1, "v1")
     sigma = s.v0 - s.v1 + 2 * s.v2
     # Lower-left sign of the third block is forced by L3_t = [P3, L3]
     # together with v2' = v1 - v0.

@@ -293,9 +293,9 @@ def _star(f: MoyalPolynomial, g: MoyalPolynomial,
     Exact products take their term weights from :func:`_weights` and add
     them up in dict arithmetic and dict order, so terms that cancel cancel
     exactly (numpy's vectorised complex products round differently).
-    Truncated ones are ``_right_matrix(g) @ vec(f)``.
+    Truncated ones are ``_right_matrix(g) @ vec(f)``.  The caller,
+    ``star_product``, has checked that f and g share a ring.
     """
-    f._require_same_ring(g)
     if truncate:
         vec = _dense(f, f.cap + 1)[_triangle(f.cap)[:2]]
         return _from_vector(_right_matrix(g) @ vec, f.theta, f.cap)

@@ -17,7 +17,7 @@ import operator
 
 import numpy as np
 
-from .ring import MatrixElement, NearSingularError, RingElement, row_norms
+from .ring import MatrixElement, RingElement, inverse, row_norms
 
 
 class BlockMatrix:
@@ -114,6 +114,9 @@ class BlockMatrix:
                                       for row in self.entries for e in row))
         return row_norms(np.stack(norms, axis=-1))
 
+    def inv(self) -> "BlockMatrix":
+        return block_inverse(self)
+
     def allclose(self, other, rtol=1e-9, atol=1e-12) -> bool:
         self._require_same_shape(other)
         return all(a.allclose(b, rtol=rtol, atol=atol)
@@ -129,13 +132,6 @@ def _stack(tl: BlockMatrix, tr: BlockMatrix,
     top = [list(a) + list(b) for a, b in zip(tl.entries, tr.entries)]
     bottom = [list(a) + list(b) for a, b in zip(bl.entries, br.entries)]
     return BlockMatrix(top + bottom)
-
-
-def _inverse_labeled(block: BlockMatrix, label: str) -> BlockMatrix:
-    try:
-        return block_inverse(block)
-    except NearSingularError as exc:
-        raise exc.relabel(label) from exc
 
 
 def block_inverse(a: BlockMatrix) -> BlockMatrix:
@@ -162,10 +158,9 @@ def block_inverse(a: BlockMatrix) -> BlockMatrix:
     q = a._block(0, k, k, n)
     r = a._block(k, n, 0, k)
     s = a._block(k, n, k, n)
-    p_inv = _inverse_labeled(p, "leading diagonal block")
+    p_inv = inverse(p, "leading diagonal block")
     p_inv_q = p_inv @ q
-    t_inv = _inverse_labeled(s - r @ p_inv_q,
-                             "Schur complement of leading block")
+    t_inv = inverse(s - r @ p_inv_q, "Schur complement of leading block")
     lower_left = -(t_inv @ (r @ p_inv))
     return _stack(p_inv - p_inv_q @ lower_left,
                   -(p_inv_q @ t_inv),
@@ -187,8 +182,7 @@ def quasideterminant(a: BlockMatrix, i: int, j: int) -> RingElement:
         raise IndexError(f"position ({i},{j}) outside {n}x{n} matrix")
     if n == 1:
         return a.entry(0, 0)
-    sub_inv = _inverse_labeled(a.submatrix(i, j),
-                               f"submatrix for position ({i},{j})")
+    sub_inv = inverse(a.submatrix(i, j), f"submatrix for position ({i},{j})")
     row = BlockMatrix([[a.entry(i, q) for q in range(n) if q != j]])
     col = BlockMatrix([[a.entry(p, j)] for p in range(n) if p != i])
     return a.entry(i, j) - (row @ sub_inv @ col).entry(0, 0)
@@ -196,11 +190,7 @@ def quasideterminant(a: BlockMatrix, i: int, j: int) -> RingElement:
 
 def quasideterminant_oracle(a: BlockMatrix, i: int, j: int) -> RingElement:
     """Independent evaluation: ring inverse of entry (j, i) of A^-1."""
-    full_inv = block_inverse(a)
-    try:
-        return full_inv.entry(j, i).inv()
-    except NearSingularError as exc:
-        raise exc.relabel(f"inverse entry ({j},{i})") from exc
+    return inverse(block_inverse(a).entry(j, i), f"inverse entry ({j},{i})")
 
 
 def to_complex_matrix(a: BlockMatrix) -> np.ndarray:
@@ -219,10 +209,7 @@ def determinant_ratio(a: BlockMatrix, i: int, j: int) -> complex:
     sub = np.delete(np.delete(arr, i, axis=0), j, axis=1)
     det_sub = 1.0 + 0j
     if sub.size:
-        try:
-            MatrixElement(sub).inv()
-        except NearSingularError as exc:
-            raise exc.relabel(f"submatrix for position ({i},{j})") from exc
+        inverse(MatrixElement(sub), f"submatrix for position ({i},{j})")
         det_sub = np.linalg.det(sub)
     return (-1) ** (i + j) * np.linalg.det(arr) / det_sub
 

@@ -17,7 +17,10 @@ A ``MatrixElement`` may carry a leading batch axis, data of shape (n, d, d),
 one position per grid point or spectral parameter: each operation acts on
 every position and broadcasts plain (d, d) operands, so one evaluation of a
 formula covers a whole grid.  A refused batch inverse lists every failing
-position in ``NearSingularError.indices``.
+position in ``NearSingularError.indices``.  ``inverse(x, where)`` is the
+one place a refused pivot of a composite computation gets its label: it
+re-raises the refusal with `` [where]`` appended (``dressing`` adds the
+refused grid point itself).
 
 ``inv`` refuses a position when smin/smax <= COND_FLOOR.  It computes the
 inverse first: since smin >= 1/|A^-1|_F and smax <= |A|_F, the two norms
@@ -60,8 +63,8 @@ class NearSingularError(ArithmeticError):
     exactly singular operand); for a batched operand it is that of the
     first refused position.  ``indices`` is the sorted tuple of every
     refused batch position (the grid points to mask), or None when the
-    operand was not batched.  A composite computation names the pivot
-    block or grid point that failed with ``relabel``.
+    operand was not batched.  ``inverse`` names a refused pivot with
+    ``relabel``.
     """
 
     def __init__(self, message: str, condition: float | None = None,
@@ -391,6 +394,15 @@ def _inverse_by_position(data: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 pass
     return out.reshape(data.shape)
+
+
+def inverse(x, where: str):
+    """``x.inv()`` of a RingElement or BlockMatrix; a refusal is re-raised
+    as ``relabel(where)``, chained to the original."""
+    try:
+        return x.inv()
+    except NearSingularError as exc:
+        raise exc.relabel(where) from exc
 
 
 def commutator(a: RingElement, b: RingElement) -> RingElement:

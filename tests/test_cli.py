@@ -301,20 +301,24 @@ class TestZeroCurvatureBatch:
         assert code == 0
         assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
 
+    # Each with C drawn per case and with one --C for every block.
     def test_cases_spanning_two_blocks(self, capsys):
-        argv = ["--d", "1", "--trials", str(STENCIL_BLOCK + 20),
-                "--lambda", "1,1e3"]
-        args = build_parser().parse_args(["zc", *argv])
-        _, results, _ = args.run(args)
-        assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
+        for fixed_c in ([], ["--C", "2-1j"]):
+            argv = ["--d", "1", "--trials", str(STENCIL_BLOCK + 20),
+                    "--lambda", "1,1e3", *fixed_c]
+            args = build_parser().parse_args(["zc", *argv])
+            _, results, _ = args.run(args)
+            assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
 
     def test_small_blocks_with_a_single_case_block(self, monkeypatch,
                                                    capsys):
         monkeypatch.setattr(cli, "STENCIL_BLOCK", 2)
-        argv = ["--d", "2", "--trials", "5", "--lambda", LAMBDAS_ZC]
-        args = build_parser().parse_args(["zc", *argv])
-        _, results, _ = args.run(args)
-        assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
+        for fixed_c in ([], ["--C", "2-1j"]):
+            argv = ["--d", "2", "--trials", "5", "--lambda", LAMBDAS_ZC,
+                    *fixed_c]
+            args = build_parser().parse_args(["zc", *argv])
+            _, results, _ = args.run(args)
+            assert _bits(results["per_lambda"]) == _bits(per_case_zc(argv))
 
     @pytest.mark.parametrize("argv, C", [
         (["--seed-kind", "rational"], [4.0, 0.0]),

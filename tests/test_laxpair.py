@@ -5,8 +5,8 @@ import pytest
 
 from ncpain import laxpair
 from ncpain.integrators import rk4_step
-from ncpain.ring import (MatrixElement, _certified_inverse, anticommutator,
-                         random_invertible)
+from ncpain.ring import (MatrixElement, NearSingularError, _certified_inverse,
+                         anticommutator, random_invertible)
 from ncpain.grid import GridFunction
 from ncpain.moyal import MoyalPolynomial
 from ncpain.quasidet import BlockMatrix
@@ -246,6 +246,19 @@ class TestSymmetricSystem:
             res = lax_residual_symmetric(s)
             scale = max(1.0, build_L(s).norm() * build_P(s).norm())
             assert res.norm() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("field", ["v0", "v1"])
+    def test_refused_inverse_names_the_field(self, rng, field):
+        fields = {k: random_invertible(rng, 2) for k in ("v0", "v1", "v2")}
+        fields[field] = MatrixElement([[1, 0], [0, 0]])
+        s = SymState(**fields, alpha0=0.5, alpha1=1.5)
+        with pytest.raises(NearSingularError) as err:
+            lax_residual_symmetric(s)
+        assert str(err.value) == ("matrix is near-singular (condition ~ inf) "
+                                  f"[{field}]")
+        assert err.value.indices is None
+        assert str(err.value.__cause__) == ("matrix is near-singular "
+                                            "(condition ~ inf)")
 
     def test_lax_residual_frozen_scalars(self):
         s = SymState(MatrixElement.scalar(1), MatrixElement.scalar(2),
@@ -779,3 +792,98 @@ class TestDifferentialBacklund:
             coarse, _, flat = self.sups(control, target)
             assert 0.9 <= coarse / flat <= 1.1
             assert flat > 100 * fine
+
+
+def weyl_s1(s, v0_update=lambda v0, old, new: v0 + old * old - new * new):
+    """s1: v2 -> v2 - alpha1 v1^-1, v0 -> v0 + v2^2 - (new v2)^2,
+    (alpha0, alpha1) -> (alpha0 + 2 alpha1, -alpha1)."""
+    v2 = s.v2 - s.alpha1 * s.v1.inv()
+    return SymState(v0_update(s.v0, s.v2, v2), s.v1, v2,
+                    s.alpha0 + 2 * s.alpha1, -s.alpha1, s.t)
+
+
+def weyl_s0(s):
+    """s0: v2 -> v2 + alpha0 v0^-1, v1 -> v1 + v2^2 - (new v2)^2,
+    (alpha0, alpha1) -> (-alpha0, alpha1 + 2 alpha0)."""
+    v2 = s.v2 + s.alpha0 * s.v0.inv()
+    return SymState(s.v0, s.v1 + s.v2 * s.v2 - v2 * v2, v2,
+                    -s.alpha0, s.alpha1 + 2 * s.alpha0, s.t)
+
+
+def weyl_pi(s):
+    """pi: (v0, v1, v2, alpha0, alpha1) -> (v1, v0, -v2, alpha1, alpha0)."""
+    return SymState(s.v1, s.v0, -s.v2, s.alpha1, s.alpha0, s.t)
+
+
+def wrong_order_s1(s):
+    """The control: s1 with v0 + (v2 - new v2)(v2 + new v2), which equals
+    v0 + v2^2 - (new v2)^2 only where v2 and its image commute."""
+    return weyl_s1(s, lambda v0, old, new: v0 + (old - new) * (old + new))
+
+
+class TestAffineWeylGroup:
+    """The symmetric flow's extended affine Weyl group of type A1 as an
+    exact oracle (Noumi, Painleve Equations through Symmetry).
+
+    Each map sends a trajectory onto the trajectory from its own first
+    state, so mapping every state of one RK4 path and integrating a second
+    path from the mapped first state compares two independent runs: their
+    gap is the difference of two O(h^4) errors.  The data are random and
+    noncommutative, the alphas complex.
+    """
+
+    T_END = 0.5
+    # (d, seed of the random invertible data, alpha0, alpha1)
+    CASES = {"2x2": (2, 3, 0.4 + 0.3j, 0.9 - 0.2j),
+             "3x3": (3, 6, -0.5 + 0.2j, 1.3 + 0.1j)}
+    MAPS = {"s0": weyl_s0, "s1": weyl_s1,
+            "pi_s1": lambda s: weyl_pi(weyl_s1(s))}
+
+    def first_state(self, case):
+        d, seed, alpha0, alpha1 = self.CASES[case]
+        rng = np.random.default_rng(seed)
+        return SymState(*(random_invertible(rng, d, scale=0.5)
+                          for _ in range(3)), alpha0, alpha1)
+
+    def path(self, s0, h):
+        flow = integrate_symmetric(s0, self.T_END, h)
+        assert not flow.truncated
+        return flow.path
+
+    @staticmethod
+    def fields(s):
+        return s.v0, s.v1, s.v2
+
+    def gap(self, case, weyl_map, h):
+        """Largest field difference between the mapped path and the path
+        integrated from the mapped first state."""
+        mapped = weyl_map(self.path(self.first_state(case), h))
+        image = self.path(mapped.at(0), h)
+        return max((a - b).point_norms().max() for a, b in
+                   zip(self.fields(mapped), self.fields(image)))
+
+    @pytest.mark.parametrize("name", MAPS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_maps_commute_with_the_flow(self, case, name):
+        coarse, mid, fine = (self.gap(case, self.MAPS[name], h)
+                             for h in (0.01, 0.005, 0.0025))
+        # RK4's order: a ratio of 16 per halving of h.
+        assert 14 <= coarse / mid <= 18
+        assert 14 <= mid / fine <= 18
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_s1_is_an_involution(self, case):
+        path = self.path(self.first_state(case), 0.01)
+        twice = weyl_s1(weyl_s1(path))
+        for a, b in zip(self.fields(twice), self.fields(path)):
+            assert (a - b).point_norms().max() <= 1e-12
+        assert twice.alpha0 == pytest.approx(path.alpha0, abs=1e-15)
+        assert twice.alpha1 == path.alpha1
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_wrong_order_misses(self, case):
+        # Exact at d = 1; on matrices it misses by the commutator of v2
+        # and its image, which no step size removes.
+        wrong = self.gap(case, wrong_order_s1, 0.01)
+        assert wrong >= 0.1
+        assert wrong > 1e6 * self.gap(case, weyl_s1, 0.01)

@@ -136,7 +136,8 @@ class TestBlockInverse:
         m = scalar_block([[1, 1], [1, 1]])
         with pytest.raises(NearSingularError) as err:
             block_inverse(m)
-        assert "Schur complement" in str(err.value)
+        assert str(err.value) == ("matrix is near-singular (condition ~ inf) "
+                                  "[Schur complement of leading block]")
 
     def test_rectangular_rejected(self, rng):
         m = BlockMatrix([[MatrixElement.scalar(1.0)] * 2])
@@ -188,6 +189,30 @@ class TestQuasideterminant:
         assert str(err.value) == ("matrix is near-singular (condition ~ inf) "
                                   "[inverse entry (0,0)]")
         assert err.value.condition == float("inf")
+
+    def test_refusals_name_every_pivot_on_the_way(self, rng):
+        # 3x3 blocks of three 2x2 positions; entry (0,0) is singular at
+        # position 1 only, so both routes refuse it as the pivot inside the
+        # leading diagonal block of the matrix they invert.
+        entries = [[MatrixElement(4 * np.eye(2) * (i == j) + 0.5 * (
+            rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal(
+                (3, 2, 2)))) for j in range(3)] for i in range(3)]
+        data = np.array(entries[0][0].data)
+        data[1] = [[1, 0], [0, 0]]
+        entries[0][0] = MatrixElement(data)
+        a = BlockMatrix(entries)
+        refusal = "matrix is near-singular (condition ~ inf)"
+        cases = ((quasideterminant, "[submatrix for position (2,2)]", 2),
+                 (quasideterminant_oracle, "[leading diagonal block]", 0))
+        for route, outer, pos in cases:
+            with pytest.raises(NearSingularError) as err:
+                route(a, pos, pos)
+            inner = f"{refusal} [leading diagonal block]"
+            assert str(err.value) == f"{inner} {outer}"
+            assert err.value.indices == (1,)
+            assert err.value.condition == float("inf")
+            assert str(err.value.__cause__) == inner
+            assert err.value.__cause__.indices == (1,)
 
     @given(hst.integers(0, 10_000), hst.integers(2, 5), hst.integers(1, 3))
     @settings(max_examples=25, deadline=None)
