@@ -20,8 +20,7 @@ from ncpain.grid import GridFunction
 from ncpain.laxpair import (SymState, integrate_symmetric,
                             normalize_first_integral, pii_residual_grid)
 from ncpain.dressing import integrate_linear
-from ncpain.solutions import (SEED_SIGNS, seed_constant, seed_function,
-                              seed_jets)
+from ncpain.solutions import SEED_SIGNS, seed_constant, seed_jets
 
 ONE = MatrixElement.eye(1)
 SIGN = SEED_SIGNS["rational"]  # v = 1/z, exact for P-II at C = 4
@@ -42,7 +41,8 @@ def flow_errors():
 
 
 def eigenfunction_errors():
-    seed = seed_function(SIGN, 1)
+    def seed(z):
+        return seed_jets(SIGN, z, 1)[0]
 
     def endpoint(h):
         n = round(1.0 / h) + 1

@@ -37,7 +37,7 @@ from .quasidet import (BlockMatrix, quasideterminant, quasideterminant_oracle)
 from .reports import ExperimentReport, write_grid_csv
 from .ring import (COND_FLOOR, MatrixElement, NearSingularError,
                    random_invertible)
-from .solutions import SEED_SIGNS, seed_constant, seed_function, seed_jets
+from .solutions import SEED_SIGNS, seed_constant, seed_jets
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -321,8 +321,8 @@ def run_dressing(args):
     c_val = parse_complex(args.C) if args.C is not None else seed_constant(s)
     eye = MatrixElement.eye(args.d)
     v, _, _ = seed_jets(s, z0 + h * np.arange(n), args.d)
-    pairs = (integrate_linear(seed_function(s, args.d), gammas, (eye, eye),
-                              z0, h, n) if gammas else [])
+    pairs = (integrate_linear(lambda zs: seed_jets(s, zs, args.d)[0],
+                              gammas, (eye, eye), z0, h, n) if gammas else [])
     points = [SpectralPoint(g, chi, phi)
               for g, (chi, phi) in zip(gammas, pairs)]
     chain = DressingChain(tuple(points), GridFunction(z0, h, v))

@@ -32,11 +32,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import GridFunction
-from .integrators import rk4_path
+from .integrators import rk4_step
 from .quasidet import BlockMatrix, quasideterminant
 from .ring import MatrixElement, NearSingularError, RingElement
 
 MAX_GRID_STEP = 1e-2
+STEP_BLOCK = 64  # RK4 steps whose propagators one rk4_step call forms
 
 
 @dataclass(frozen=True)
@@ -69,46 +70,62 @@ class DressingChain:
                 raise ValueError("all chain grids must match the seed grid")
 
 
-def integrate_linear(v: Callable[[float], RingElement], lam,
+def integrate_linear(v: Callable[[np.ndarray], RingElement], lam,
                      init: tuple[RingElement, RingElement], z0: float,
                      h: float, n: int):
     """RK4 integration of the eigenfunction pair along z.
 
-    ``v`` evaluates the seed solution at any z; the n grid points run from
-    z0 in steps of h.  The system is Psi_z = B Psi with Psi = (chi, phi)
-    and B = ``laxpair.build_B(v, lam)``:
+    The n grid points run from z0 in steps of h.  The system is
+    Psi' = B Psi with Psi = (chi; phi), a 2d x d column, and
+    B = ``laxpair.build_B(v, lam)``:
 
         chi' = -2i lam chi + v phi,   phi' = v chi + 2i lam phi.
 
-    ``lam`` is one spectral parameter, giving one (chi, phi) pair of
-    grids, or a sequence of them, giving a list of pairs.  All parameters
-    are integrated as one stacked system: the RK4 state is one array of
-    shape (2, len(lam), d, d) holding chi and phi at every parameter, and
-    the right-hand side is D Psi plus v Psi with its two rows swapped,
-    where the constant D holds -2i lam and 2i lam times the identity.
+    It is linear, so one RK4 step is Psi_{k+1} = M_k Psi_k, where the
+    propagator M_k is ``rk4_step`` applied to the 2d x 2d identity.  One
+    ``rk4_step`` call forms the propagators of a block of STEP_BLOCK steps
+    at once, and each grid point then costs one product.
+
+    ``v`` is the seed, batched over z: given an array of abscissae it
+    returns a MatrixElement with one value per abscissa, or one unbatched
+    value, which then holds at every z.  It sees the abscissae of the
+    stepwise RK4, z_k, z_k + h/2 and z_k + h, bit for bit.  ``lam`` is one
+    spectral parameter, giving one (chi, phi) pair of grids, or a sequence
+    of them, giving a list of pairs; all of them are integrated as one
+    stacked system.
     """
     if h > MAX_GRID_STEP:
         raise ValueError(f"grid step {h} too coarse, need h <= {MAX_GRID_STEP}")
     chi0, phi0 = init
     if not (chi0.data.any() or phi0.data.any()):  # a norm can underflow
         raise ValueError("initial eigenfunction pair must not be zero")
-    lams = [complex(x) for x in np.atleast_1d(lam)]
-    D = np.asarray([[c * x for x in lams] for c in (-2.0 * 1j, 2.0 * 1j)]
-                   )[..., None, None] * np.eye(chi0.d)
+    d = chi0.d
+    lams = np.array([complex(x) for x in np.atleast_1d(lam)])
+    # B at every parameter, with its off-diagonal blocks left to v.
+    diagonal = np.zeros((len(lams), 2 * d, 2 * d), complex)
+    diagonal[:, :d, :d] = (-2.0 * 1j * lams)[:, None, None] * np.eye(d)
+    diagonal[:, d:, d:] = (2.0 * 1j * lams)[:, None, None] * np.eye(d)
 
-    def rhs(z, y):
-        vz = v(z)
+    def rhs(zs, y):
+        vz = v(zs)
         chi0._require_same_ring(vz)
-        Y, = y
-        return D @ Y + (vz.data @ Y)[::-1],
+        b = np.repeat(diagonal[None], len(zs), axis=0)
+        vd = vz.data[:, None] if vz.data.ndim == 3 else vz.data
+        b[..., :d, d:] = vd
+        b[..., d:, :d] = vd
+        return b @ y[0],
 
-    y0 = np.broadcast_to(np.stack([chi0.data, phi0.data])[:, None], D.shape)
-    states, _ = rk4_path(rhs, z0, (y0,), h, n - 1)
-    # One component at a time, to bound peak memory.
-    chi, phi = ([GridFunction(z0, h, MatrixElement(x))
-                 for x in np.stack([s[i] for s, in states], axis=1)]
-                for i in (0, 1))
-    pairs = list(zip(chi, phi))
+    eye = np.eye(2 * d, dtype=complex)
+    psi = np.empty((n, len(lams), 2 * d, d), complex)
+    psi[0] = np.concatenate([chi0.data, phi0.data])
+    for lo in range(0, n - 1, STEP_BLOCK):
+        hi = min(lo + STEP_BLOCK, n - 1)
+        props, = rk4_step(rhs, z0 + h * np.arange(lo, hi), (eye,), h)
+        for k in range(lo, hi):
+            np.matmul(props[k - lo], psi[k], out=psi[k + 1])
+    pairs = [(GridFunction(z0, h, MatrixElement(psi[:, j, :d])),
+              GridFunction(z0, h, MatrixElement(psi[:, j, d:])))
+             for j in range(len(lams))]
     return pairs if np.ndim(lam) else pairs[0]
 
 

@@ -4,14 +4,19 @@ A state is a tuple of values closed under ``+``, ``-``, multiplication by
 a number and ``@``: ring elements, or bare ``numpy`` arrays, such as one
 array stacking every ``MatrixElement`` field of a system, which makes each
 stage combination one numpy operation with the bits of one per field.
+The time may be an array of start times, one step per start time, for a
+right-hand side that evaluates them all at once (``integrate_linear``'s
+step propagators).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 State = tuple
-Rhs = Callable[[float, State], State]
+Rhs = Callable[[float | np.ndarray, State], State]
 # (times, states) of a block -> None, or (first refused index, reason)
 Monitor = Callable[[list, list], tuple[int, str] | None]
 MONITOR_BLOCK = 64  # steps per monitor call
@@ -21,8 +26,12 @@ def _axpy(y: State, k: State, c: complex) -> State:
     return tuple([yi + c * ki for yi, ki in zip(y, k)])
 
 
-def rk4_step(f: Rhs, t: float, y: State, h: float) -> State:
-    """One classical RK4 step of y' = f(t, y)."""
+def rk4_step(f: Rhs, t: float | np.ndarray, y: State, h: float) -> State:
+    """One classical RK4 step of y' = f(t, y) from t to t + h.
+
+    ``t`` may be an array of start times: one step per start time, all
+    taken by the same four calls of ``f``, at t, t + h/2, t + h/2 and
+    t + h elementwise, with the bits of each step's own times."""
     # Complex coefficients: a ring scales by complex numbers, and numpy
     # would convert a float or an int to one on every product.  Tuples
     # are built from lists, which is cheaper than from generators here.

@@ -25,8 +25,3 @@ def seed_jets(s: int, z: np.ndarray, d: int) -> tuple[MatrixElement, ...]:
             if s else (np.zeros(z.shape),) * 3)
     return tuple(MatrixElement.scalars(x, d) for x in jets)
 
-
-def seed_function(s: int, d: int):
-    """v at one z, for RK4: ``seed_jets``'s v, with its identity bound once."""
-    eye = MatrixElement.eye(d)
-    return lambda z: (s / z if s else 0.0) * eye

@@ -25,7 +25,7 @@ from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
                              iterated_darboux, masked_n_fold,
                              quasidet_eigenfunctions)
 from ncpain.cli import main
-from ncpain.solutions import seed_function, seed_jets
+from ncpain.solutions import seed_jets
 
 from conftest import all_quasideterminants, n_fold
 
@@ -251,14 +251,14 @@ def test_criterion_5_symmetric_lax():
 def test_criterion_6_darboux_pipeline():
     t0 = time.perf_counter()
     one = MatrixElement.eye(1)
-    seed_fn = seed_function(1, 1)
     z0, h, n = 1.0, 1e-3, 1001
     zs = z0 + h * np.arange(n)
     seed = GridFunction(z0, h, seed_jets(1, zs, 1)[0])
 
     points = []
     for gamma in (1j, 2j):
-        chi, phi = integrate_linear(seed_fn, gamma, (one, one), z0, h, n)
+        chi, phi = integrate_linear(lambda z: seed_jets(1, z, 1)[0], gamma,
+                                    (one, one), z0, h, n)
         points.append(SpectralPoint(gamma, chi, phi))
     chain = DressingChain(tuple(points), seed)
 

@@ -5,7 +5,7 @@ from ncpain.ring import MatrixElement, NearSingularError
 from ncpain.quasidet import BlockMatrix, determinant_ratio, quasideterminant
 from ncpain.grid import GridFunction
 from ncpain.laxpair import build_B
-from ncpain.solutions import seed_function
+from ncpain.solutions import seed_jets
 from ncpain.dressing import (DressingChain, SpectralPoint, _masked,
                              darboux_once,
                              dt_eigenfunctions, integrate_linear,
@@ -18,10 +18,12 @@ ONE = MatrixElement.eye(1)
 
 
 def zero_field(z):
+    # Unbatched and constant in z: integrate_linear broadcasts it.
     return MatrixElement.zeros(1)
 
 
-rational_field = seed_function(1, 1)
+def rational_field(z):
+    return seed_jets(1, z, 1)[0]
 
 
 def random_grid(rng, d, n=8, z0=1.0, h=1e-3, shift=2.0):
@@ -67,8 +69,9 @@ class TestIntegrateLinear:
         rng = np.random.default_rng(5)
         m1, m2 = (gaussian_element(rng, 2, 0.5) for _ in range(2))
 
-        def v(z):
-            return (1.0 / z) * m1 + z * m2
+        def v(zs):  # batched over z
+            return MatrixElement(np.multiply.outer(1.0 / zs, m1.data)
+                                 + np.multiply.outer(zs, m2.data))
 
         gammas = (1j, 0.5 - 0.3j)
         one = MatrixElement.eye(2)
@@ -78,8 +81,9 @@ class TestIntegrateLinear:
             pairs = integrate_linear(v, gammas, (one, one), 1.0, h, n)
             worst = 0.0
             for gamma, (chi, phi) in zip(gammas, pairs):
+                vs = v(chi.zs())
                 for k in range(1, n - 1):
-                    b = build_B(v(chi.z(k)), gamma)
+                    b = build_B(MatrixElement(vs.data[k]), gamma)
                     for row, f in enumerate((chi, phi)):
                         rhs = (b.entry(row, 0) * chi[k]
                                + b.entry(row, 1) * phi[k])
@@ -112,49 +116,48 @@ class TestIntegrateLinear:
         assert margin > 1e-3
 
     def test_matches_plain_numpy_rk4_bit_for_bit(self):
-        # A noncentral d = 3 seed and two lambdas: the unbatched initial
-        # pair meets batched stage values in every stage combination.  The
-        # reference is the same RK4 on bare complex128 arrays, in the same
-        # order of operations as integrate_linear and rk4_step.
+        # A noncentral d = 3 seed and two lambdas over 149 steps, so three
+        # blocks of propagators.  The reference is plain numpy in the order
+        # of integrate_linear and rk4_step: each step's propagator is RK4 on
+        # the 6 x 6 identity, and each grid point is one product.  It forms
+        # one step at a time, so the bits do not depend on the blocks.
         rng = np.random.default_rng(11)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         init = (MatrixElement(rng.standard_normal((3, 3))),
                 MatrixElement(np.eye(3) + 0.5j * rng.standard_normal((3, 3))))
-        lams, z0, h, n = (1j, 2 - 0.5j), 1.0, 1e-3, 60
-        pairs = integrate_linear(lambda z: (1.0 / z) * MatrixElement(m),
-                                 lams, init, z0, h, n)
+        lams, z0, h, n = np.array([1j, 2 - 0.5j]), 1.0, 1e-3, 150
 
-        lead = np.asarray([-2.0 * 1j * x for x in lams])[:, None, None] \
-            * np.eye(3)
-        trail = np.asarray([2.0 * 1j * x for x in lams])[:, None, None] \
-            * np.eye(3)
+        def seed(z):  # (3, 3) at one z, (len(z), 3, 3) at an array of them
+            return np.multiply.outer(1.0 / z, m)
 
-        def rhs(z, chi, phi):
-            vz = complex(1.0 / z) * m
-            return lead @ chi + vz @ phi, vz @ chi + trail @ phi
+        pairs = integrate_linear(lambda zs: MatrixElement(seed(zs)), lams,
+                                 init, z0, h, n)
 
-        def axpy(y, k, c):
-            return tuple(yi + complex(c) * ki for yi, ki in zip(y, k))
+        def b_matrix(z):
+            b = np.zeros((2, 6, 6), complex)
+            b[:, :3, :3] = (-2.0 * 1j * lams)[:, None, None] * np.eye(3)
+            b[:, 3:, 3:] = (2.0 * 1j * lams)[:, None, None] * np.eye(3)
+            b[:, :3, 3:] = b[:, 3:, :3] = seed(z)
+            return b
 
-        y = tuple(el.data for el in init)
-        expected = [y]
-        for i in range(n - 1):
-            z = z0 + i * h
-            k1 = rhs(z, *y)
-            k2 = rhs(z + h / 2, *axpy(y, k1, h / 2))
-            k3 = rhs(z + h / 2, *axpy(y, k2, h / 2))
-            k4 = rhs(z + h, *axpy(y, k3, h))
-            two = complex(2)
-            y = tuple(yi + complex(h / 6) * (a + two * b + two * c + e)
-                      for yi, a, b, c, e in zip(y, k1, k2, k3, k4))
-            expected.append(y)
+        eye = np.eye(6, dtype=complex)
+        half, two, sixth = complex(h / 2), complex(2), complex(h / 6)
+        psi = [np.broadcast_to(np.concatenate([el.data for el in init]),
+                               (2, 6, 3))]
+        for k in range(n - 1):
+            z = z0 + k * h
+            k1 = b_matrix(z) @ eye
+            k2 = b_matrix(z + h / 2) @ (eye + half * k1)
+            k3 = b_matrix(z + h / 2) @ (eye + half * k2)
+            k4 = b_matrix(z + h) @ (eye + complex(h) * k3)
+            step = eye + sixth * (k1 + two * k2 + two * k3 + k4)
+            psi.append(step @ psi[-1])
+        psi = np.stack(psi)
 
-        assert expected[1][0].shape == (2, 3, 3)
+        assert len(pairs) == 2
         for j, (chi, phi) in enumerate(pairs):
-            for grid, field in ((chi, 0), (phi, 1)):
-                want = np.stack([np.broadcast_to(s[field], (2, 3, 3))[j]
-                                 for s in expected])
-                assert grid.batch.data.tobytes() == want.tobytes()
+            assert chi.batch.data.tobytes() == psi[:, j, :3].tobytes()
+            assert phi.batch.data.tobytes() == psi[:, j, 3:].tobytes()
 
     def test_rejects_zero_init(self):
         zero = MatrixElement.zeros(1)
@@ -169,8 +172,8 @@ class TestIntegrateLinear:
     def test_tiny_nonzero_init_is_not_zero(self):
         # Entries this small square to 0.0 inside a Frobenius norm.
         tiny = MatrixElement(1e-170 * np.eye(2))
-        chi, phi = integrate_linear(lambda z: MatrixElement.zeros(2), 1j,
-                                    (tiny, tiny), 1.0, 1e-3, 5)
+        chi, phi = integrate_linear(lambda zs: MatrixElement.scalars(0 * zs, 2),
+                                    1j, (tiny, tiny), 1.0, 1e-3, 5)
         # chi' = 2 chi and phi' = -2 phi at lambda = i with v = 0.
         for grid, rate in ((chi, 2.0), (phi, -2.0)):
             assert np.allclose(grid[4].data,

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ncpain.dressing import integrate_linear
+from ncpain.dressing import STEP_BLOCK, integrate_linear
 from ncpain.integrators import rk4_path, rk4_step
 from ncpain.laxpair import SymState, integrate_symmetric, symmetric_rhs
 from ncpain.moyal import MoyalPolynomial
@@ -43,56 +43,149 @@ class TestRingChecks:
     def test_integrate_linear_checks_the_ring_of_the_seed(self, rng):
         init = (gaussian_element(rng, 3), gaussian_element(rng, 3))
         small = gaussian_element(rng, 1)
-        with pytest.raises(DimensionMismatchError):
-            integrate_linear(lambda z: small, 1j, init, 1.0, 1e-3, 5)
+        for seed in (lambda zs: small,
+                     lambda zs: MatrixElement.scalars(zs, 2),
+                     lambda zs: MoyalPolynomial.one(0.1)):
+            with pytest.raises(DimensionMismatchError):
+                integrate_linear(seed, 1j, init, 1.0, 1e-3, 5)
 
 
-class TestReplay:
+def noncentral_seed(d, rng):
+    """v(z) = m / z + z^2 n with random complex m and n: (d, d) at one z,
+    batched at an array of z, with the same bits at each z."""
+    m, n_ = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+             for _ in range(2))
+    return lambda z: MatrixElement(np.multiply.outer(1.0 / z, m)
+                                   + np.multiply.outer(z * z, n_))
+
+
+def stepwise_pairs(v, lams, init, z0, h, n):
+    """(chi, phi) arrays of shape (n, d, d) per lambda from RK4 on elements,
+    one step at a time, with ``v`` called at one z per stage."""
+    d = init[0].d
+    lead = MatrixElement.scalars([-2.0 * 1j * x for x in lams], d)
+    trail = MatrixElement.scalars([2.0 * 1j * x for x in lams], d)
+
+    def rhs(z, y):
+        chi, phi = y
+        vz = v(z)
+        return lead * chi + vz * phi, vz * chi + trail * phi
+
+    shape = (len(lams), d, d)
+    states = element_path(rhs, z0, init, h, n - 1)
+    return [tuple(np.stack([np.broadcast_to(s[field].data, shape)[j]
+                            for s in states]) for field in (0, 1))
+            for j in range(len(lams))]
+
+
+def worst_relative_gap(pairs, expected):
+    """Largest |got - want| / |want| over every grid point of every grid."""
+    worst = 0.0
+    for (chi, phi), want in zip(pairs, expected, strict=True):
+        for got, ref in zip((chi.batch.data, phi.batch.data), want):
+            assert got.shape == ref.shape
+            gap = (np.linalg.norm(got - ref, axis=(1, 2))
+                   / np.linalg.norm(ref, axis=(1, 2)))
+            worst = max(worst, gap.max())
+    return worst
+
+
+class TestEigenfunctionPropagators:
+    """integrate_linear forms RK4 step propagators in blocks and applies
+    one per grid point; the stepwise RK4 on elements is its reference."""
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_integrate_linear_matches_the_element_path(self, d):
-        # Three lambdas: batched lead/trail meet an unbatched initial pair.
-        # One lambda, not in a sequence, gives one pair and not a list.
+        # Three complex lambdas: batched lead/trail meet an unbatched
+        # initial pair.  One lambda, not in a sequence, gives one pair and
+        # not a list.  Propagators reassociate the step's sums, so the two
+        # agree to rounding, not to the bit.
         rng = np.random.default_rng(40 + d)
-        m, n_ = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                 for _ in range(2))
+        v = noncentral_seed(d, rng)
         init = (gaussian_element(rng, d), gaussian_element(rng, d))
-        z0, h, n = 1.0, 1e-3, 40
-        for lam in ((1j, 0.5 - 2j, -1.25), 0.5 - 2j):
-            lams = np.atleast_1d(lam).tolist()
-            seen = {"replay": [], "element": []}
-
-            def seed(log):
-                def v(z):
-                    seen[log].append(z)
-                    return (1.0 / z) * MatrixElement(m) \
-                        + (z * z) * MatrixElement(n_)
-                return v
-
-            pairs = integrate_linear(seed("replay"), lam, init, z0, h, n)
+        z0, h, n = 1.0, 1e-3, 1001
+        for lam in ((1j, 0.5 - 2j, -1.25 + 0.75j), 0.5 - 2j):
+            pairs = integrate_linear(v, lam, init, z0, h, n)
             if not np.ndim(lam):
                 assert isinstance(pairs, tuple) and len(pairs) == 2
                 pairs = [pairs]
+            expected = stepwise_pairs(v, np.atleast_1d(lam).tolist(), init,
+                                      z0, h, n)
+            assert worst_relative_gap(pairs, expected) <= 1e-13
 
-            lead = MatrixElement.scalars([-2.0 * 1j * x for x in lams], d)
-            trail = MatrixElement.scalars([2.0 * 1j * x for x in lams], d)
-            v = seed("element")
+    def test_seed_sees_the_stepwise_abscissae(self, rng):
+        # Bit for bit: z_k, z_k + h/2 (twice) and z_k + h for every step k,
+        # in blocks of STEP_BLOCK steps, four calls per block.
+        z0, h, n = 0.3, 7e-4, 150
+        batched, stepwise = [], []
 
-            def rhs(z, y):
-                chi, phi = y
-                vz = v(z)
-                return lead * chi + vz * phi, vz * chi + trail * phi
+        def logged(log):
+            def v(z):
+                log.append(z)
+                return MatrixElement.zeros(2)
+            return v
 
-            expected = element_path(rhs, z0, init, h, n - 1)
-            shape = (len(lams), d, d)
-            assert expected[1][0].data.shape == shape
-            assert seen["replay"] == seen["element"]
-            assert len(seen["replay"]) == 4 * (n - 1)
-            assert len(pairs) == len(lams)
-            for j, (chi, phi) in enumerate(pairs):
-                for grid, field in ((chi, 0), (phi, 1)):
-                    want = np.stack([np.broadcast_to(s[field].data, shape)[j]
-                                     for s in expected])
-                    assert grid.batch.data.tobytes() == want.tobytes()
+        init = (gaussian_element(rng, 2), gaussian_element(rng, 2))
+        integrate_linear(logged(batched), 1j, init, z0, h, n)
+        stepwise_pairs(logged(stepwise), [1j], init, z0, h, n)
+        blocks = -(-(n - 1) // STEP_BLOCK)
+        assert len(batched) == 4 * blocks
+        assert all(isinstance(z, np.ndarray) for z in batched)
+        # Calls run (block, stage) and each holds a block's steps; the
+        # stepwise log runs (step, stage).
+        by_step = np.concatenate([np.stack(batched[4 * b:4 * b + 4], axis=1)
+                                  for b in range(blocks)])
+        want = np.array(stepwise).reshape(n - 1, 4)
+        assert by_step.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d, lams, n", [
+        (2, (1j, 0.5 - 2j), 2), (2, (1j, 0.5 - 2j), 64),
+        (2, (1j, 0.5 - 2j), 65), (2, (1j, 0.5 - 2j), 66),
+        (3, (1j, 2j, 3j - 0.5, 4j + 0.25), 130)])
+    def test_every_row_is_written(self, d, lams, n, monkeypatch):
+        # Around the block boundaries: 1, 63, 64 and 65 steps, and two full
+        # blocks plus one step at d = 3 with four lambdas.  np.empty hands
+        # out NaN here, so a row the integration never wrote cannot pass.
+        rng = np.random.default_rng(n + d)
+        v = noncentral_seed(d, rng)
+        init = (gaussian_element(rng, d), gaussian_element(rng, d))
+        real_empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = real_empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        pairs = integrate_linear(v, lams, init, 1.0, 1e-3, n)
+        monkeypatch.undo()
+        for chi, phi in pairs:
+            assert len(chi) == len(phi) == n
+            assert np.isfinite(chi.batch.data).all()
+            assert np.isfinite(phi.batch.data).all()
+        expected = stepwise_pairs(v, list(lams), init, 1.0, 1e-3, n)
+        assert worst_relative_gap(pairs, expected) <= 1e-13
+
+    def test_unbatched_constant_seed_broadcasts(self, rng):
+        # A seed that returns one (d, d) value holds it at every z: the
+        # same bits as that value batched over the abscissae.
+        c = gaussian_element(rng, 2)
+        init = (gaussian_element(rng, 2), gaussian_element(rng, 2))
+        lams = (1j, -0.5 + 1j)
+
+        def batched(zs):
+            return MatrixElement(np.broadcast_to(c.data, zs.shape + (2, 2)))
+
+        pairs = integrate_linear(lambda zs: c, lams, init, 1.0, 1e-3, 70)
+        for got, want in zip(pairs, integrate_linear(
+                batched, lams, init, 1.0, 1e-3, 70), strict=True):
+            for a, b in zip(got, want):
+                assert a.batch.data.tobytes() == b.batch.data.tobytes()
+
+
+class TestPathStates:
+    """RK4 paths on stacked arrays against the element path, and their
+    states' ownership."""
 
     def test_flow_with_signed_zeros(self):
         y0 = (signed_zeros((0.3, -0.0), (-0.0, 0.0), (0.0, -0.0), (0.2, 0.0)),

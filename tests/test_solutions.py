@@ -3,8 +3,7 @@ import pytest
 
 from ncpain.laxpair import pii_residual_exact
 from ncpain.ring import MatrixElement
-from ncpain.solutions import (SEED_SIGNS, seed_constant, seed_function,
-                              seed_jets)
+from ncpain.solutions import SEED_SIGNS, seed_constant, seed_jets
 
 # zc's 9 points, and dress grids (z0, h, n) as run_dressing builds them.
 ZC_POINTS = np.linspace(1.0, 2.0, 9)
@@ -27,7 +26,7 @@ def bits(data):
 
 
 def point_sets():
-    # zc iterates numpy floats; dress's RK4 sees Python floats z0 + k*h.
+    # zc's numpy floats, and the Python floats z0 + k*h of a dress grid.
     yield ZC_POINTS, list(ZC_POINTS)
     for z0, h, n in DRESS_GRIDS:
         yield dress_points(z0, h, n), [z0 + k * h for k in range(n)]
@@ -81,18 +80,3 @@ class TestSeedJets:
         for z in (grid, np.array([-1.0, -0.0, 0.0, 5e-324, 1.0])):
             for jet in seed_jets(SEED_SIGNS["zero"], z, 3):
                 assert not bits(jet.data).any()
-
-
-class TestSeedFunction:
-    @pytest.mark.parametrize("seed", sorted(SEED_SIGNS))
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_equals_position_zero_of_the_jets(self, seed, d):
-        s = SEED_SIGNS[seed]
-        # The zero seed has no pole, so its grid may cross z = 0.
-        grids = DRESS_GRIDS + ([(-0.5, 1e-3, 1001)] if s == 0 else [])
-        f = seed_function(s, d)
-        for z0, h, n in grids:
-            v, _, _ = seed_jets(s, dress_points(z0, h, n), d)
-            for k in range(n):
-                assert np.array_equal(bits(f(z0 + k * h).data),
-                                      bits(v.data[k]))
