@@ -90,9 +90,9 @@ def worst_relative_gap(pairs, expected):
     return worst
 
 
-class TestEigenfunctionPropagators:
-    """integrate_linear forms RK4 step propagators in blocks and applies
-    one per grid point; the stepwise RK4 on elements is its reference."""
+class TestReplay:
+    """integrate_linear replays the stepwise RK4 on elements, its
+    reference, at every grid point to rounding."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_integrate_linear_matches_the_element_path(self, d):
@@ -112,6 +112,11 @@ class TestEigenfunctionPropagators:
             expected = stepwise_pairs(v, np.atleast_1d(lam).tolist(), init,
                                       z0, h, n)
             assert worst_relative_gap(pairs, expected) <= 1e-13
+
+
+class TestEigenfunctionPropagators:
+    """integrate_linear forms RK4 step propagators in blocks and applies
+    one per grid point; the stepwise RK4 on elements is its reference."""
 
     def test_seed_sees_the_stepwise_abscissae(self, rng):
         # Bit for bit: z_k, z_k + h/2 (twice) and z_k + h for every step k,
