@@ -37,7 +37,7 @@ from .quasidet import (BlockMatrix, quasideterminant, quasideterminant_oracle)
 from .reports import ExperimentReport, write_grid_csv
 from .ring import (COND_FLOOR, MatrixElement, NearSingularError,
                    random_invertible)
-from .solutions import SEED_SIGNS, seed_constant, seed_jets
+from .solutions import SEED_SIGNS, seed_constant, seed_jets, seed_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -320,8 +320,8 @@ def run_dressing(args):
                          f"inside --z {args.z}")
     c_val = parse_complex(args.C) if args.C is not None else seed_constant(s)
     eye = MatrixElement.eye(args.d)
-    v, _, _ = seed_jets(s, z0 + h * np.arange(n), args.d)
-    pairs = (integrate_linear(lambda zs: seed_jets(s, zs, args.d)[0],
+    v = seed_value(s, z0 + h * np.arange(n), args.d)
+    pairs = (integrate_linear(lambda zs: seed_value(s, zs, args.d),
                               gammas, (eye, eye), z0, h, n) if gammas else [])
     points = [SpectralPoint(g, chi, phi)
               for g, (chi, phi) in zip(gammas, pairs)]

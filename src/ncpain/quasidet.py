@@ -6,7 +6,7 @@ convention consistent with the 2x2 expansion
 
     qd(A, 0, 0) = a00 - a01 * a11^-1 * a10,
 
-and it is what both the recursive expansion and the inverse-based oracle
+and it is what both the elimination and the inversion-based oracle
 below implement.  All indices in this module are 0-based.
 """
 
@@ -94,12 +94,6 @@ class BlockMatrix:
                              else template.zero_like()
                              for j in range(self.m)] for i in range(self.n)])
 
-    def submatrix(self, skip_row: int, skip_col: int) -> "BlockMatrix":
-        """Copy with one row and one column deleted."""
-        return BlockMatrix([[e for j, e in enumerate(row) if j != skip_col]
-                            for i, row in enumerate(self.entries)
-                            if i != skip_row])
-
     def _block(self, r0, r1, c0, c1) -> "BlockMatrix":
         return BlockMatrix([row[c0:c1] for row in self.entries[r0:r1]])
 
@@ -173,19 +167,25 @@ def quasideterminant(a: BlockMatrix, i: int, j: int) -> RingElement:
 
     ``row_i`` is row i with entry j removed, ``col_j`` is column j with
     entry i removed, and A^ij is the submatrix with row i and column j
-    deleted.  For a 1x1 matrix this is just the entry itself.
+    deleted.  Elimination with row i and column j last leaves it in the
+    corner; its pivots, the leading principal Schur complements of A^ij,
+    cost n - 1 entry inverses and (n^3 - n)/3 ring products in all.
     """
     if not a.is_square:
         raise ValueError("quasideterminant needs a square BlockMatrix")
     n = a.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"position ({i},{j}) outside {n}x{n} matrix")
-    if n == 1:
-        return a.entry(0, 0)
-    sub_inv = inverse(a.submatrix(i, j), f"submatrix for position ({i},{j})")
-    row = BlockMatrix([[a.entry(i, q) for q in range(n) if q != j]])
-    col = BlockMatrix([[a.entry(p, j)] for p in range(n) if p != i])
-    return a.entry(i, j) - (row @ sub_inv @ col).entry(0, 0)
+    rows = [r for r in range(n) if r != i] + [i]
+    cols = [c for c in range(n) if c != j] + [j]
+    m = [[a.entry(r, c) for c in cols] for r in rows]
+    for p in range(n - 1):
+        pivot_inv = inverse(m[p][p], f"submatrix for position ({i},{j})")
+        for r in range(p + 1, n):
+            left = m[r][p] * pivot_inv
+            for c in range(p + 1, n):
+                m[r][c] = m[r][c] - left * m[p][c]
+    return m[-1][-1]
 
 
 def quasideterminant_oracle(a: BlockMatrix, i: int, j: int) -> RingElement:

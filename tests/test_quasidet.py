@@ -7,6 +7,7 @@ import hypothesis.strategies as hst
 
 from ncpain.ring import MatrixElement, NearSingularError, random_invertible
 from ncpain.moyal import MoyalPolynomial
+from ncpain import quasidet
 from ncpain.quasidet import (BlockMatrix, block_inverse,
                              commutative_limit_residual, determinant_ratio,
                              quasideterminant, quasideterminant_oracle)
@@ -192,8 +193,9 @@ class TestQuasideterminant:
 
     def test_refusals_name_every_pivot_on_the_way(self, rng):
         # 3x3 blocks of three 2x2 positions; entry (0,0) is singular at
-        # position 1 only, so both routes refuse it as the pivot inside the
-        # leading diagonal block of the matrix they invert.
+        # position 1 only.  The direct route refuses it as its first pivot,
+        # the oracle as the pivot inside the leading diagonal block of the
+        # matrix it inverts.
         entries = [[MatrixElement(4 * np.eye(2) * (i == j) + 0.5 * (
             rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal(
                 (3, 2, 2)))) for j in range(3)] for i in range(3)]
@@ -202,13 +204,15 @@ class TestQuasideterminant:
         entries[0][0] = MatrixElement(data)
         a = BlockMatrix(entries)
         refusal = "matrix is near-singular (condition ~ inf)"
-        cases = ((quasideterminant, "[submatrix for position (2,2)]", 2),
-                 (quasideterminant_oracle, "[leading diagonal block]", 0))
-        for route, outer, pos in cases:
+        block = f"{refusal} [leading diagonal block]"
+        cases = ((quasideterminant, 2, refusal,
+                  f"{refusal} [submatrix for position (2,2)]"),
+                 (quasideterminant_oracle, 0, block,
+                  f"{block} [leading diagonal block]"))
+        for route, pos, inner, outer in cases:
             with pytest.raises(NearSingularError) as err:
                 route(a, pos, pos)
-            inner = f"{refusal} [leading diagonal block]"
-            assert str(err.value) == f"{inner} {outer}"
+            assert str(err.value) == outer
             assert err.value.indices == (1,)
             assert err.value.condition == float("inf")
             assert str(err.value.__cause__) == inner
@@ -245,6 +249,79 @@ class TestQuasideterminant:
         lhs = quasideterminant(scaled, 0, 0)
         rhs = c * quasideterminant(m, 0, 0)
         assert (lhs - rhs).norm() <= 1e-12 * max(1.0, rhs.norm())
+
+
+class TestElimination:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pivots_and_products_per_quasideterminant(self, rng, monkeypatch,
+                                                      n):
+        # One inverse per pivot and (n^3 - n)/3 products: 0, 2, 8, 20, 40.
+        # A^ij is never inverted as a whole.
+        m = random_block(rng, n, 3)
+        counts = {"inv": 0, "mul": 0}
+        ring_inv, ring_mul = MatrixElement.inv, MatrixElement._mul
+
+        def counted_inv(el):
+            counts["inv"] += 1
+            return ring_inv(el)
+
+        def counted_mul(el, other):
+            counts["mul"] += 1
+            return ring_mul(el, other)
+
+        def no_block_inverse(a):
+            raise AssertionError("block_inverse called")
+
+        monkeypatch.setattr(MatrixElement, "inv", counted_inv)
+        monkeypatch.setattr(MatrixElement, "_mul", counted_mul)
+        monkeypatch.setattr(quasidet, "block_inverse", no_block_inverse)
+        for i, j in {(0, 0), (n - 1, n - 1), (n // 2, 0), (0, n - 1)}:
+            counts.update(inv=0, mul=0)
+            quasideterminant(m, i, j)
+            assert counts == {"inv": n - 1, "mul": (n ** 3 - n) // 3}
+
+    def test_2x2_is_the_expansion_bit_for_bit(self, rng):
+        def entry():
+            return MatrixElement(3 * np.eye(3) + rng.standard_normal(
+                (5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
+
+        a = [[entry() for _ in range(2)] for _ in range(2)]
+        m = BlockMatrix(a)
+        for i in range(2):
+            for j in range(2):
+                k, q = 1 - i, 1 - j
+                expected = a[i][j] - (a[i][q] * a[k][q].inv()) * a[k][j]
+                assert quasideterminant(m, i, j).data.tobytes() \
+                    == expected.data.tobytes()
+
+    def test_refuses_a_singular_schur_complement(self, rng):
+        # Integer entries keep every product exact, so the second pivot
+        # a11 - a10 a00^-1 a01 is exactly 0 at batch position 2, where
+        # every entry is invertible.
+        def entry():
+            return 6 * np.eye(3) + rng.integers(-2, 3, (4, 3, 3)) \
+                + 1j * rng.integers(-2, 3, (4, 3, 3))
+
+        a00 = np.broadcast_to(np.eye(3), (4, 3, 3))
+        a01, a10, a11 = entry(), entry(), entry()
+        a11[2] = a10[2] @ a01[2]
+        a = BlockMatrix([[MatrixElement(x) for x in row] for row in (
+            (a00, a01, entry()), (a10, a11, entry()),
+            (entry(), entry(), entry()))])
+        for row in a.entries:
+            for e in row:
+                e.inv()
+        refusal = "matrix is near-singular (condition ~ inf)"
+        for route, label in ((quasideterminant,
+                              "[submatrix for position (2,2)]"),
+                             (quasideterminant_oracle,
+                              "[Schur complement of leading block] "
+                              "[leading diagonal block]")):
+            with pytest.raises(NearSingularError) as err:
+                route(a, 2, 2)
+            assert str(err.value) == f"{refusal} {label}"
+            assert err.value.indices == (2,)
+            assert err.value.condition == float("inf")
 
 
 class TestCommutativeLimit:

@@ -3,7 +3,8 @@ import pytest
 
 from ncpain.laxpair import pii_residual_exact
 from ncpain.ring import MatrixElement
-from ncpain.solutions import SEED_SIGNS, seed_constant, seed_jets
+from ncpain.solutions import (SEED_SIGNS, seed_constant, seed_jets,
+                              seed_value)
 
 # zc's 9 points, and dress grids (z0, h, n) as run_dressing builds them.
 ZC_POINTS = np.linspace(1.0, 2.0, 9)
@@ -42,6 +43,13 @@ class TestSeedJets:
                 for batched, single in zip(jets, per_point_jets(s, zk, d)):
                     assert np.array_equal(bits(batched.data[k]),
                                           bits(single.data))
+
+    @pytest.mark.parametrize("s", sorted(SEED_SIGNS.values()))
+    def test_value_is_the_first_jet_bit_for_bit(self, s):
+        # dress integrates its eigenfunctions on seed_value alone.
+        for z, _ in point_sets():
+            assert np.array_equal(bits(seed_value(s, z, 3).data),
+                                  bits(seed_jets(s, z, 3)[0].data))
 
     @pytest.mark.parametrize("s", [1, -1])
     def test_solve_pii_at_their_own_C(self, s):
