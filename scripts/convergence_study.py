@@ -20,7 +20,8 @@ from ncpain.grid import GridFunction
 from ncpain.laxpair import (SymState, integrate_symmetric,
                             normalize_first_integral, pii_residual_grid)
 from ncpain.dressing import integrate_linear
-from ncpain.solutions import SEED_SIGNS, seed_constant, seed_jets
+from ncpain.solutions import (SEED_SIGNS, seed_constant, seed_jets,
+                              seed_value)
 
 ONE = MatrixElement.eye(1)
 SIGN = SEED_SIGNS["rational"]  # v = 1/z, exact for P-II at C = 4
@@ -42,11 +43,11 @@ def flow_errors():
 
 def eigenfunction_errors():
     def seed(z):
-        return seed_jets(SIGN, z, 1)[0]
+        return seed_value(SIGN, z, 1)
 
     def endpoint(h):
         n = round(1.0 / h) + 1
-        chi, _ = integrate_linear(seed, 1j, (ONE, ONE), 1.0, h, n)
+        [(chi, _)] = integrate_linear(seed, [1j], (ONE, ONE), 1.0, h, n)
         return chi[len(chi) - 1]
 
     ref = endpoint(6.25e-5)

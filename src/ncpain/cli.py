@@ -129,9 +129,9 @@ def parse_range(text: str) -> tuple[float, float, int]:
 
 
 def _number_from_json(node) -> complex:
-    # parse_complex read the numbers; bools are ints, NaN stays a float.
-    if isinstance(node, (int, complex)):
-        return complex(node)
+    # The parse hooks made each number complex; a bool or NaN is no entry.
+    if isinstance(node, complex):
+        return node
     if isinstance(node, str):
         return parse_complex(node)
     raise ValueError(f"cannot read matrix entry {node!r}")

@@ -70,14 +70,14 @@ class DressingChain:
                 raise ValueError("all chain grids must match the seed grid")
 
 
-def integrate_linear(v: Callable[[np.ndarray], RingElement], lam,
+def integrate_linear(v: Callable[[np.ndarray], RingElement], lams,
                      init: tuple[RingElement, RingElement], z0: float,
-                     h: float, n: int):
+                     h: float, n: int) -> list:
     """RK4 integration of the eigenfunction pair along z.
 
     The n grid points run from z0 in steps of h.  The system is
     Psi' = B Psi with Psi = (chi; phi), a 2d x d column, and
-    B = ``laxpair.build_B(v, lam)``:
+    B = ``laxpair.build_B(v, lam)`` for each lam in ``lams``:
 
         chi' = -2i lam chi + v phi,   phi' = v chi + 2i lam phi.
 
@@ -89,10 +89,9 @@ def integrate_linear(v: Callable[[np.ndarray], RingElement], lam,
     ``v`` is the seed, batched over z: given an array of abscissae it
     returns a MatrixElement with one value per abscissa, or one unbatched
     value, which then holds at every z.  It sees the abscissae of the
-    stepwise RK4, z_k, z_k + h/2 and z_k + h, bit for bit.  ``lam`` is one
-    spectral parameter, giving one (chi, phi) pair of grids, or a sequence
-    of them, giving a list of pairs; all of them are integrated as one
-    stacked system.
+    stepwise RK4, z_k, z_k + h/2 and z_k + h, bit for bit.  ``lams`` is a
+    sequence of spectral parameters, integrated as one stacked system; the
+    result lists one (chi, phi) pair of grids per parameter.
     """
     if h > MAX_GRID_STEP:
         raise ValueError(f"grid step {h} too coarse, need h <= {MAX_GRID_STEP}")
@@ -100,7 +99,7 @@ def integrate_linear(v: Callable[[np.ndarray], RingElement], lam,
     if not (chi0.data.any() or phi0.data.any()):  # a norm can underflow
         raise ValueError("initial eigenfunction pair must not be zero")
     d = chi0.d
-    lams = np.array([complex(x) for x in np.atleast_1d(lam)])
+    lams = np.array([complex(x) for x in lams])
     # B at every parameter, with its off-diagonal blocks left to v.
     diagonal = np.zeros((len(lams), 2 * d, 2 * d), complex)
     diagonal[:, :d, :d] = (-2.0 * 1j * lams)[:, None, None] * np.eye(d)
@@ -123,10 +122,9 @@ def integrate_linear(v: Callable[[np.ndarray], RingElement], lam,
         props, = rk4_step(rhs, z0 + h * np.arange(lo, hi), (eye,), h)
         for k in range(lo, hi):
             np.matmul(props[k - lo], psi[k], out=psi[k + 1])
-    pairs = [(GridFunction(z0, h, MatrixElement(psi[:, j, :d])),
-              GridFunction(z0, h, MatrixElement(psi[:, j, d:])))
-             for j in range(len(lams))]
-    return pairs if np.ndim(lam) else pairs[0]
+    return [(GridFunction(z0, h, MatrixElement(psi[:, j, :d])),
+             GridFunction(z0, h, MatrixElement(psi[:, j, d:])))
+            for j in range(len(lams))]
 
 
 def _at_point(exc: NearSingularError, f: GridFunction, prefix: str
@@ -267,6 +265,7 @@ def _masked(route: Callable[[DressingChain], GridFunction],
 
     Points a refusal lists are dropped and the strict route reruns on the
     rest.  Returns the filled grid and the mask of the points it covers.
+    A rerun's sub-grids keep the full grid's z0 and h: routes must not read z.
     """
     seed = chain.seed
     data = np.full(seed.batch.data.shape, complex("nan+nanj"))

@@ -97,10 +97,8 @@ def _require_lambda(lam: complex):
 
 
 def _central(x, one: RingElement, f=complex) -> RingElement:
-    """f(x) * one; for x one number per batch position, each f(item) as a
-    Python number, stacked as central elements.  Elements pass through."""
-    if isinstance(x, RingElement):
-        return x
+    """f(x) * one for x a number; for x one number per batch position,
+    each f(item) as a Python number, stacked as central elements."""
     if np.ndim(x):
         return MatrixElement.scalars([f(item) for item in x], one.d)
     return f(x) * one
@@ -155,8 +153,7 @@ def pii_residual_exact(v: RingElement, v_zz: RingElement, z,
                        C) -> RingElement:
     """v_zz - 2 v^3 + 2 [z, v]_+ - C, with z and C central.
 
-    ``z`` and ``C`` are each a number, one number per batch position, or a
-    batched central element holding each point's value.
+    ``z`` and ``C`` are each a number or one number per batch position.
     """
     one = v.one_like()
     return (v_zz - 2 * (v * v * v) + 2 * anticommutator(_central(z, one), v)
@@ -174,8 +171,7 @@ def pii_residual_grid(f: GridFunction, C: complex) -> GridFunction:
         hi = min(lo + STENCIL_BLOCK, len(f) - 1)
         v = f[lo:hi]
         v_zz = (f[lo - 1:hi - 1] - 2 * v + f[lo + 1:hi + 1]) * inv_h2
-        z = MatrixElement.scalars(zs[lo:hi], v.d)
-        out[lo - 1:hi - 1] = pii_residual_exact(v, v_zz, z, C).data
+        out[lo - 1:hi - 1] = pii_residual_exact(v, v_zz, zs[lo:hi], C).data
     return GridFunction(f.z0 + f.h, f.h, MatrixElement(out))
 
 

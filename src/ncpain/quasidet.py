@@ -193,19 +193,14 @@ def quasideterminant_oracle(a: BlockMatrix, i: int, j: int) -> RingElement:
     return inverse(block_inverse(a).entry(j, i), f"inverse entry ({j},{i})")
 
 
-def to_complex_matrix(a: BlockMatrix) -> np.ndarray:
-    """Flatten a scalar-backend (d = 1) BlockMatrix to a complex ndarray."""
+def determinant_ratio(a: BlockMatrix, i: int, j: int) -> complex:
+    """Commutative limit (-1)^(i+j) det(A) / det(A^ij), unbatched d = 1; A^ij
+    is refused as ``MatrixElement.inv`` refuses it, with the same label."""
     entries = [e for row in a.entries for e in row]
     if not all(isinstance(e, MatrixElement) and e.data.shape == (1, 1)
                for e in entries):
         raise ValueError("scalar backend (d = 1, unbatched) required")
-    return np.array([e.data[0, 0] for e in entries]).reshape(a.n, a.m)
-
-
-def determinant_ratio(a: BlockMatrix, i: int, j: int) -> complex:
-    """Commutative-limit value (-1)^(i+j) det(A) / det(A^ij); A^ij is
-    refused as ``MatrixElement.inv`` refuses it, with the same label."""
-    arr = to_complex_matrix(a)
+    arr = np.array([e.data[0, 0] for e in entries]).reshape(a.n, a.m)
     sub = np.delete(np.delete(arr, i, axis=0), j, axis=1)
     det_sub = 1.0 + 0j
     if sub.size:

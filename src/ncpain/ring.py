@@ -289,16 +289,11 @@ class MatrixElement(RingElement):
         return (np.where(finite, s[..., -1], 0.0),
                 np.where(finite, s[..., 0], np.inf))
 
-    def singular_extremes(self):
-        """(smallest, largest) singular value; for a batch, those of the
-        position with the smallest ratio smallest / largest."""
-        smin, smax = self.point_extremes()
-        if smin.ndim:
-            margin = np.divide(smin, smax, out=np.zeros_like(smin),
-                               where=smax > 0)
-            k = int(np.argmin(margin))
-            smin, smax = smin[k], smax[k]
-        return float(smin), float(smax)
+    def singular_extremes(self) -> tuple[float, float]:
+        """(smallest, largest) singular value of an unbatched matrix."""
+        if self.data.ndim != 2:  # some numpy versions float a 1-position batch
+            raise TypeError("singular_extremes takes an unbatched matrix")
+        return tuple(map(float, self.point_extremes()))
 
     def allclose(self, other, rtol=1e-9, atol=1e-12):
         self._require_same_ring(other)

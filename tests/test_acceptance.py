@@ -25,7 +25,7 @@ from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
                              iterated_darboux, masked_n_fold,
                              quasidet_eigenfunctions)
 from ncpain.cli import main
-from ncpain.solutions import seed_jets
+from ncpain.solutions import seed_jets, seed_value
 
 from conftest import all_quasideterminants, n_fold
 
@@ -253,12 +253,12 @@ def test_criterion_6_darboux_pipeline():
     one = MatrixElement.eye(1)
     z0, h, n = 1.0, 1e-3, 1001
     zs = z0 + h * np.arange(n)
-    seed = GridFunction(z0, h, seed_jets(1, zs, 1)[0])
+    seed = GridFunction(z0, h, seed_value(1, zs, 1))
 
     points = []
     for gamma in (1j, 2j):
-        chi, phi = integrate_linear(lambda z: seed_jets(1, z, 1)[0], gamma,
-                                    (one, one), z0, h, n)
+        [(chi, phi)] = integrate_linear(lambda z: seed_value(1, z, 1),
+                                        [gamma], (one, one), z0, h, n)
         points.append(SpectralPoint(gamma, chi, phi))
     chain = DressingChain(tuple(points), seed)
 
@@ -281,7 +281,7 @@ def test_criterion_6_darboux_pipeline():
                        zip(v2_product, v2_iterated)) / scale2
 
     # zero seed is an exact fixed point
-    zero_seed = GridFunction(z0, h, seed_jets(0, zs, 1)[0])
+    zero_seed = GridFunction(z0, h, seed_value(0, zs, 1))
     zero_chain = DressingChain(tuple(points), zero_seed)
     zero_norm = n_fold(zero_chain, 2).sup_norm()
 

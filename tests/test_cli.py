@@ -53,6 +53,7 @@ class TestParsing:
     ["quasidet", "--inline", "[[]]", "--pos", "1", "1"],
     ["quasidet", "--file", "MISSING", "--pos", "1", "1"],
     ["quasidet", "--inline", "[[[[1, null]]]]", "--pos", "1", "1"],
+    ["quasidet", "--inline", "[[true, 2], [3, false]]", "--pos", "1", "1"],
     ["zc", "--d", "0"],
     ["zc", "--trials", "0"],
     ["dress", "--N", "1", "--gamma", "i", "--d", "0", "--z", "1:1.2:0.002"],
@@ -74,8 +75,9 @@ class TestParsing:
     ["symmetric", "--random-matrix", "2", "--v0", "0.1"],
     ["symmetric", "--random-matrix", "2", "--v1", "1"],
     ["symmetric", "--random-matrix", "2", "--v2", "0.3", "--normalize"],
-], ids=["ragged", "empty", "missing-file", "null-cell", "zc-d0",
-        "zc-trials0", "dress-d0", "coarse-grid", "short-grid", "inf-range",
+], ids=["ragged", "empty", "missing-file", "null-cell", "bool-cells",
+        "zc-d0", "zc-trials0", "dress-d0", "coarse-grid", "short-grid",
+        "inf-range",
         "overflowing-range", "nan-C", "overflowing-C", "nan-min-cond",
         "negative-min-cond", "overflowing-cell", "zc-placeholders",
         "zc-rational-sign",

@@ -5,7 +5,7 @@ from ncpain.ring import MatrixElement, NearSingularError
 from ncpain.quasidet import BlockMatrix, determinant_ratio, quasideterminant
 from ncpain.grid import GridFunction
 from ncpain.laxpair import build_B
-from ncpain.solutions import seed_jets
+from ncpain.solutions import seed_value
 from ncpain.dressing import (DressingChain, SpectralPoint, _masked,
                              darboux_once,
                              dt_eigenfunctions, integrate_linear,
@@ -23,7 +23,7 @@ def zero_field(z):
 
 
 def rational_field(z):
-    return seed_jets(1, z, 1)[0]
+    return seed_value(1, z, 1)
 
 
 def random_grid(rng, d, n=8, z0=1.0, h=1e-3, shift=2.0):
@@ -52,8 +52,8 @@ def weighted_array(points, n, k, first_row_chi):
 class TestIntegrateLinear:
     def test_zero_field_exponentials(self):
         lam = 1 + 0.5j
-        chi, phi = integrate_linear(zero_field, lam, (ONE, ONE),
-                                    0.0, 1e-3, 1001)
+        [(chi, phi)] = integrate_linear(zero_field, [lam], (ONE, ONE),
+                                        0.0, 1e-3, 1001)
         worst = 0.0
         for k in (0, 100, 500, 1000):
             z = chi.z(k)
@@ -100,8 +100,8 @@ class TestIntegrateLinear:
 
         def endpoint(h):
             n = round(1.0 / h) + 1
-            chi, _ = integrate_linear(rational_field, lam, (ONE, ONE),
-                                      1.0, h, n)
+            [(chi, _)] = integrate_linear(rational_field, [lam], (ONE, ONE),
+                                          1.0, h, n)
             return chi[len(chi) - 1]
 
         ref = endpoint(1.25e-4)
@@ -110,8 +110,8 @@ class TestIntegrateLinear:
         assert 12.0 <= e_coarse / e_fine <= 20.0
 
     def test_rational_seed_chi_stays_invertible(self):
-        chi, _ = integrate_linear(rational_field, 1j, (ONE, ONE),
-                                  1.0, 1e-3, 1001)
+        [(chi, _)] = integrate_linear(rational_field, [1j], (ONE, ONE),
+                                      1.0, 1e-3, 1001)
         margin = min(v.singular_extremes()[0] for v in chi)
         assert margin > 1e-3
 
@@ -162,18 +162,19 @@ class TestIntegrateLinear:
     def test_rejects_zero_init(self):
         zero = MatrixElement.zeros(1)
         with pytest.raises(ValueError):
-            integrate_linear(zero_field, 1j, (zero, zero), 0.0, 1e-3, 10)
+            integrate_linear(zero_field, [1j], (zero, zero), 0.0, 1e-3, 10)
 
     def test_rejects_negative_zero_init(self):
         zero = MatrixElement(np.full((1, 1), complex(-0.0, -0.0)))
         with pytest.raises(ValueError):
-            integrate_linear(zero_field, 1j, (zero, zero), 0.0, 1e-3, 10)
+            integrate_linear(zero_field, [1j], (zero, zero), 0.0, 1e-3, 10)
 
     def test_tiny_nonzero_init_is_not_zero(self):
         # Entries this small square to 0.0 inside a Frobenius norm.
         tiny = MatrixElement(1e-170 * np.eye(2))
-        chi, phi = integrate_linear(lambda zs: MatrixElement.scalars(0 * zs, 2),
-                                    1j, (tiny, tiny), 1.0, 1e-3, 5)
+        [(chi, phi)] = integrate_linear(
+            lambda zs: MatrixElement.scalars(0 * zs, 2), [1j], (tiny, tiny),
+            1.0, 1e-3, 5)
         # chi' = 2 chi and phi' = -2 phi at lambda = i with v = 0.
         for grid, rate in ((chi, 2.0), (phi, -2.0)):
             assert np.allclose(grid[4].data,
@@ -182,7 +183,12 @@ class TestIntegrateLinear:
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
-            integrate_linear(zero_field, 1j, (ONE, ONE), 0.0, 0.1, 10)
+            integrate_linear(zero_field, [1j], (ONE, ONE), 0.0, 0.1, 10)
+
+    def test_lambdas_are_a_sequence(self):
+        # One lambda is spelled [lam]; a bare number is no sequence.
+        with pytest.raises(TypeError):
+            integrate_linear(zero_field, 1j, (ONE, ONE), 0.0, 1e-3, 10)
 
 
 class TestDarbouxOnce:
@@ -278,8 +284,8 @@ class TestEigenfunctionTransforms:
         # route: numpy determinants of the same weighted array.
         points = []
         for gamma in (3j, 1j, 2j)[:n + 1]:
-            chi, phi = integrate_linear(rational_field, gamma, (ONE, ONE),
-                                        1.0, 1e-3, 1001)
+            [(chi, phi)] = integrate_linear(rational_field, [gamma],
+                                            (ONE, ONE), 1.0, 1e-3, 1001)
             points.append(SpectralPoint(gamma, chi, phi))
         worst = 0.0
         for first_row_chi, grid in zip((True, False),

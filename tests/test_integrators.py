@@ -47,7 +47,7 @@ class TestRingChecks:
                      lambda zs: MatrixElement.scalars(zs, 2),
                      lambda zs: MoyalPolynomial.one(0.1)):
             with pytest.raises(DimensionMismatchError):
-                integrate_linear(seed, 1j, init, 1.0, 1e-3, 5)
+                integrate_linear(seed, [1j], init, 1.0, 1e-3, 5)
 
 
 def noncentral_seed(d, rng):
@@ -97,20 +97,15 @@ class TestReplay:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_integrate_linear_matches_the_element_path(self, d):
         # Three complex lambdas: batched lead/trail meet an unbatched
-        # initial pair.  One lambda, not in a sequence, gives one pair and
-        # not a list.  Propagators reassociate the step's sums, so the two
-        # agree to rounding, not to the bit.
+        # initial pair; then one lambda alone.  Propagators reassociate the
+        # step's sums, so the two agree to rounding, not to the bit.
         rng = np.random.default_rng(40 + d)
         v = noncentral_seed(d, rng)
         init = (gaussian_element(rng, d), gaussian_element(rng, d))
         z0, h, n = 1.0, 1e-3, 1001
-        for lam in ((1j, 0.5 - 2j, -1.25 + 0.75j), 0.5 - 2j):
-            pairs = integrate_linear(v, lam, init, z0, h, n)
-            if not np.ndim(lam):
-                assert isinstance(pairs, tuple) and len(pairs) == 2
-                pairs = [pairs]
-            expected = stepwise_pairs(v, np.atleast_1d(lam).tolist(), init,
-                                      z0, h, n)
+        for lams in ((1j, 0.5 - 2j, -1.25 + 0.75j), (0.5 - 2j,)):
+            pairs = integrate_linear(v, lams, init, z0, h, n)
+            expected = stepwise_pairs(v, list(lams), init, z0, h, n)
             assert worst_relative_gap(pairs, expected) <= 1e-13
 
 
@@ -131,7 +126,7 @@ class TestEigenfunctionPropagators:
             return v
 
         init = (gaussian_element(rng, 2), gaussian_element(rng, 2))
-        integrate_linear(logged(batched), 1j, init, z0, h, n)
+        integrate_linear(logged(batched), [1j], init, z0, h, n)
         stepwise_pairs(logged(stepwise), [1j], init, z0, h, n)
         blocks = -(-(n - 1) // STEP_BLOCK)
         assert len(batched) == 4 * blocks

@@ -85,6 +85,31 @@ class TestSpectralMatrices:
         with pytest.raises(ValueError):
             build_A(s)
 
+    @pytest.mark.parametrize("element", ["z", "C"])
+    def test_central_terms_are_numbers(self, rng, element):
+        # z and C are numbers, one per batch position.  The same values as
+        # batched central elements must be refused or read alike.
+        n, d, lam = 5, 2, 1 - 2j
+        v, v_z, v_zz = (MatrixElement(rng.standard_normal((n, d, d))
+                                      + 1j * rng.standard_normal((n, d, d)))
+                        for _ in range(3))
+        numbers = {key: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                   for key in ("z", "C")}
+        elements = dict(numbers)
+        elements[element] = MatrixElement.scalars(numbers[element], d)
+        routes = (lambda kw: build_A(PiiState(v, v_z, v_zz, lam=lam, **kw)),
+                  lambda kw: BlockMatrix([[pii_residual_exact(
+                      v, v_zz, kw["z"], kw["C"])]]))
+        for route in routes:
+            want = route(numbers)
+            try:
+                got = route(elements)
+            except TypeError:
+                continue
+            for row_got, row_want in zip(got.entries, want.entries):
+                for x, y in zip(row_got, row_want):
+                    assert np.array_equal(x.data, y.data)
+
     def test_B_zero_field(self):
         b = build_B(MatrixElement.zeros(2), 0.5)
         assert b.entry(0, 0).allclose(-1j * MatrixElement.eye(2))

@@ -166,11 +166,10 @@ def svd_first_inverse(el):
     position first, a position with a non-finite entry refused as not
     finite; if all pass, each position whose inverse LAPACK cannot
     compute, or computes as not finite, is refused; else ``np.linalg.inv``."""
-    low, high = el.singular_extremes()
     smin, smax = el.point_extremes()
-    if low <= COND_FLOOR * high or high == 0.0:
+    bad = (smin <= COND_FLOOR * smax) | (smax == 0.0)
+    if bad.any():
         what = "matrix is near-singular"
-        bad = (smin <= COND_FLOOR * smax) | (smax == 0.0)
     else:
         what = "matrix inverse is not finite"
         bad = np.array([not _lapack_inverts(a)
@@ -449,10 +448,12 @@ class TestBatch:
             MatrixElement.zeros(2).inv()
         assert err.value.indices is None
 
-    def test_singular_extremes_of_worst_position(self):
-        data = np.stack([np.diag([1.0, 0.5]), np.diag([2.0, 1e-3]),
-                         np.eye(2)])
-        assert MatrixElement(data).singular_extremes() == (1e-3, 2.0)
+    def test_singular_extremes_covers_one_unbatched_matrix(self):
+        assert MatrixElement(np.diag([2.0, 1e-3])).singular_extremes() \
+            == (1e-3, 2.0)
+        for n in (1, 3):
+            with pytest.raises(TypeError):
+                MatrixElement(np.stack([np.eye(2)] * n)).singular_extremes()
 
 
 def _refusal_batch():
