@@ -98,10 +98,13 @@ def _require_lambda(lam: complex):
 
 def _central(x, one: RingElement, f=complex) -> RingElement:
     """f(x) * one for x a number; for x one number per batch position,
-    each f(item) as a Python number, stacked as central elements."""
-    if np.ndim(x):
-        return MatrixElement.scalars([f(item) for item in x], one.d)
-    return f(x) * one
+    each f(item) as a Python number, stacked as central elements.  With f
+    ``complex`` the items are converted in one call, with the same bits."""
+    if not np.ndim(x):
+        return f(x) * one
+    if f is complex:
+        return MatrixElement.scalars(x, one.d)
+    return MatrixElement.scalars([f(item) for item in x], one.d)
 
 
 def build_A(s: PiiState) -> BlockMatrix:
@@ -289,7 +292,9 @@ def integrate_symmetric(s0: SymState, t_end: float, h: float,
     a0, a1 = (s0.alpha0 * one).data, (s0.alpha1 * one).data
 
     def rhs(t, y):
-        # symmetric_rhs on the stacked state Y = (v0, v1, v2), bit for bit.
+        # symmetric_rhs on the stacked state Y = (v0, v1, v2), with numpy's
+        # @ as the product: on elements with d <= UNROLL_MAX_D, whose
+        # products ring._product sums, it agrees to rounding, not the bit.
         Y, = y
         s = anticommutator(Y[2], Y[:2])
         out = np.empty_like(Y)

@@ -3,7 +3,7 @@ import pytest
 
 from ncpain.dressing import masked_n_fold
 from ncpain.quasidet import quasideterminant
-from ncpain.ring import MatrixElement
+from ncpain.ring import MatrixElement, anticommutator
 
 
 @pytest.fixture
@@ -32,3 +32,17 @@ def n_fold(chain, n):
     grids, masks = masked_n_fold(chain, n)
     assert all(mask.all() for mask in masks)
     return grids[-1]
+
+
+def array_symmetric_rhs(alpha0, alpha1, d):
+    """``laxpair.symmetric_rhs`` on a tuple of bare (d, d) arrays, one per
+    field, with ``ring.anticommutator``: the stacked flow's right-hand
+    side spelt one field at a time, with numpy's ``@`` as the product."""
+    one = MatrixElement.eye(d)
+    a0, a1 = (alpha0 * one).data, (alpha1 * one).data
+
+    def rhs(t, y):
+        v0, v1, v2 = y
+        return (anticommutator(v2, v0) + a0, a1 - anticommutator(v2, v1),
+                v1 - v0)
+    return rhs

@@ -9,11 +9,11 @@ from ncpain.laxpair import SymState, integrate_symmetric, symmetric_rhs
 from ncpain.moyal import MoyalPolynomial
 from ncpain.ring import DimensionMismatchError, MatrixElement
 
-from conftest import gaussian_element
+from conftest import array_symmetric_rhs, gaussian_element
 
 
 def element_path(f, t0, y0, h, steps):
-    """The path as rk4_step computes it on elements, one step at a time."""
+    """The path as rk4_step computes it, one step at a time."""
     states = [y0]
     for i in range(steps):
         states.append(rk4_step(f, t0 + i * h, states[-1], h))
@@ -196,17 +196,37 @@ class TestPathStates:
             0.01, 70
         flow = integrate_symmetric(SymState(*y0, alpha0, alpha1), steps * h,
                                    h)
-
-        def rhs(t, y):
-            return symmetric_rhs(SymState(*y, alpha0, alpha1, t))
-
-        expected = element_path(rhs, 0.0, y0, h, steps)
+        # The reference steps each field as its own bare array.
+        rhs = array_symmetric_rhs(alpha0, alpha1, 2)
+        expected = [tuple(map(MatrixElement, y)) for y in element_path(
+            rhs, 0.0, tuple(el.data for el in y0), h, steps)]
         assert not flow.truncated
         same_bytes([(s.v0, s.v1, s.v2) for s in flow.states], expected)
         # The comparison sees signs of zero: some stay negative.
         last = np.concatenate([el.data.ravel() for el in expected[-1]])
         parts = np.concatenate([last.real, last.imag])
         assert np.any((parts == 0) & np.signbit(parts))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_flow_tracks_the_element_path(self, d, seed):
+        # Elements multiply with ring._product, the stacked flow with @:
+        # the two agree to rounding, not to the bit.
+        rng = np.random.default_rng([seed, d])
+        y0 = tuple(gaussian_element(rng, d, scale=0.5) for _ in range(3))
+        alpha0, alpha1, h, steps = 0.5 - 0.2j, 1.5, 0.01, 100
+        flow = integrate_symmetric(SymState(*y0, alpha0, alpha1), steps * h,
+                                   h)
+
+        def rhs(t, y):
+            return symmetric_rhs(SymState(*y, alpha0, alpha1, t))
+
+        expected = element_path(rhs, 0.0, y0, h, steps)
+        assert not flow.truncated and len(flow.states) == len(expected)
+        for s, y in zip(flow.states, expected):
+            got = np.stack([s.v0.data, s.v1.data, s.v2.data])
+            ref = np.stack([el.data for el in y])
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_flow_fields_are_read_only(self, rng):
         # Each field is a view of the stacked state; the stack stays

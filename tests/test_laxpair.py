@@ -19,7 +19,7 @@ from ncpain.laxpair import (STENCIL_BLOCK, PiiState, SymState, build_A,
                             reduction_check, symmetric_rhs,
                             zero_curvature_residual)
 
-from conftest import gaussian_element
+from conftest import array_symmetric_rhs, gaussian_element
 
 LAMBDAS = (1.0 + 0j, 1j, 2 - 3j)
 
@@ -109,6 +109,18 @@ class TestSpectralMatrices:
             for row_got, row_want in zip(got.entries, want.entries):
                 for x, y in zip(row_got, row_want):
                     assert np.array_equal(x.data, y.data)
+
+    @pytest.mark.parametrize("x", [
+        np.array([-0.0, 0.0, 1.5, -2.25, 5e-324, -1e-310, 1e308]),
+        np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                  1 - 2j, complex(1e-320, -1e300)]),
+        [0, -0.0, 2, 1e300, 3 + 4j],
+    ], ids=["float", "complex", "list"])
+    def test_central_batch_has_the_bits_of_python_numbers(self, x):
+        # With f = complex, _central converts the whole batch in one call.
+        one = MatrixElement.eye(3)
+        want = MatrixElement.scalars([complex(item) for item in x], 3)
+        assert laxpair._central(x, one).data.tobytes() == want.data.tobytes()
 
     def test_B_zero_field(self):
         b = build_B(MatrixElement.zeros(2), 0.5)
@@ -498,16 +510,15 @@ class TestFlow:
 
 
 def per_step_flow(s0, t_end, h, min_condition=1e-12):
-    """The flow with a monitor check after every single RK4 step."""
-    def rhs(t, y):
-        return symmetric_rhs(SymState(*y, s0.alpha0, s0.alpha1, t))
-
-    y = (s0.v0, s0.v1, s0.v2)
+    """The flow with a monitor check after every single RK4 step, each
+    field stepped as its own bare array."""
+    rhs = array_symmetric_rhs(s0.alpha0, s0.alpha1, s0.v0.d)
+    y = (s0.v0.data, s0.v1.data, s0.v2.data)
     states = [y]
     for i in range(round((t_end - s0.t) / h)):
         t = s0.t + i * h
         y = rk4_step(rhs, t, y, h)
-        extremes = [el.singular_extremes() for el in y]
+        extremes = [MatrixElement(a).singular_extremes() for a in y]
         for name, (smin, smax) in zip(("v0", "v1", "v2"), extremes):
             if not smax < 1e100:
                 return states, f"{name} is no longer finite at t = {t + h:.6g}"
@@ -583,7 +594,7 @@ class TestBlockMonitor:
         for i, (s, fields) in enumerate(zip(flow.states, expected)):
             assert s.t == s0.t + i * h
             for el, ref in zip((s.v0, s.v1, s.v2), fields):
-                assert el.data.tobytes() == ref.data.tobytes()
+                assert el.data.tobytes() == ref.tobytes()
 
 
 class TestCertifiedMonitor:

@@ -9,8 +9,9 @@ import hypothesis.strategies as hst
 from ncpain.grid import GridFunction
 from ncpain.moyal import MoyalPolynomial
 from ncpain.ring import (COND_FLOOR, DimensionMismatchError, MatrixElement,
-                         NearSingularError, _certified_inverse,
-                         anticommutator, commutator, random_invertible)
+                         UNROLL_MAX_D, NearSingularError,
+                         _certified_inverse, anticommutator, commutator,
+                         random_invertible)
 
 from conftest import gaussian_element
 
@@ -454,6 +455,88 @@ class TestBatch:
         for n in (1, 3):
             with pytest.raises(TypeError):
                 MatrixElement(np.stack([np.eye(2)] * n)).singular_extremes()
+
+
+def _with_signed_zeros(rng, shape):
+    """Gaussian complex data with about 30% of its real and imaginary
+    parts +0.0 and 30% -0.0."""
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    parts = data.view(float)
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    parts[rng.random(parts.shape) < 0.3] = -0.0
+    return data
+
+
+def _entrywise_sum(a, b):
+    """sum_k a[i, k] b[k, j] for each entry (i, j), from k = 0, in plain
+    numpy over the broadcast batch."""
+    a, b = np.broadcast_arrays(a, b)
+    d = a.shape[-1]
+    out = np.empty(a.shape, complex)
+    for i in range(d):
+        for j in range(d):
+            acc = a[..., i, 0] * b[..., 0, j]
+            for k in range(1, d):
+                acc = acc + a[..., i, k] * b[..., k, j]
+            out[..., i, j] = acc
+    return out
+
+
+class TestProductKernel:
+    """Products of d <= UNROLL_MAX_D elements are summed over k elementwise;
+    larger ones are numpy's ``@``.  Batch sizes cover SIMD bodies and
+    tails."""
+
+    BATCHES = (1, 2, 7, 64, 1001)
+    # Operand shapes: both batched, unbatched times batched, batched times
+    # unbatched.
+    LAYOUTS = (("n", "n"), ((), "n"), ("n", ()))
+
+    @staticmethod
+    def _operands(rng, d, n, layout):
+        return [_with_signed_zeros(rng, (n, d, d) if side == "n" else (d, d))
+                for side in layout]
+
+    @pytest.mark.parametrize("n", BATCHES)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_entrywise_sum(self, d, n):
+        assert d <= UNROLL_MAX_D
+        rng = np.random.default_rng([d, n])
+        for layout in self.LAYOUTS + (((), ()),):
+            a, b = self._operands(rng, d, n, layout)
+            got = (MatrixElement(a) @ MatrixElement(b)).data
+            assert got.tobytes() == _entrywise_sum(a, b).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_positions_equal_the_unbatched_product(self, d):
+        rng = np.random.default_rng(d)
+        for n in self.BATCHES:
+            for layout in self.LAYOUTS:
+                a, b = self._operands(rng, d, n, layout)
+                batch = (MatrixElement(a) @ MatrixElement(b)).data
+                a, b = np.broadcast_arrays(a, b)
+                for k in range(n):
+                    alone = MatrixElement(a[k]) @ MatrixElement(b[k])
+                    assert batch[k].tobytes() == alone.data.tobytes()
+
+    def test_signs_of_zero_survive(self):
+        # Each term of row 0 has real part -0 * b - 0 * 0 = -0, and so has
+        # their sum; a sum started from +0 would read +0.
+        a = np.array([[-0.0, -0.0], [2.0, 3.0]], complex)
+        b = np.array([[1.0, 2.0], [3.0, 1.0]], complex)
+        got = (MatrixElement(a) @ MatrixElement(b)).data
+        assert np.signbit(got[0].real).all()
+        assert got.tobytes() == _entrywise_sum(a, b).tobytes()
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_larger_products_are_matmul(self, d):
+        rng = np.random.default_rng(d)
+        for n in (None, 7, 64):
+            for layout in self.LAYOUTS:
+                a, b = self._operands(rng, d, n, layout) if n else \
+                    self._operands(rng, d, 1, ((), ()))
+                got = (MatrixElement(a) @ MatrixElement(b)).data
+                assert got.tobytes() == (a @ b).tobytes()
 
 
 def _refusal_batch():
