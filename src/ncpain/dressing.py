@@ -16,10 +16,13 @@ eigenfunctions of the k-th chain point.  Those eigenfunctions are
 assembled two independent ways: literal iteration of the formulas above,
 and boxed-corner quasideterminants of the alternating chi/phi arrays
 with gamma-power row weights.  Both routes are implemented and
-cross-checked.  The literal route inverts chi and phi of each stage's
-point once and applies phi chi^-1 and chi phi^-1 to every later point;
-the products associate as in the formulas above, so its bits are those
-of applying the one-step maps one pair at a time.  The dressing
+cross-checked.  In chain order, the quasideterminants of every stage are
+the pivots of one elimination of each N x N array, so that route
+eliminates each array once and inverts each chi pivot once, for the
+elimination and for T_k.  The literal route inverts chi and phi of each
+stage's point once and applies phi chi^-1 and chi phi^-1 to every later
+point; the products associate as in the formulas above, so its bits are
+those of applying the one-step maps one pair at a time.  The dressing
 parameter gamma of each chain point is identified with the spectral
 parameter at which its eigenfunctions were integrated.
 """
@@ -27,13 +30,13 @@ parameter at which its eigenfunctions were integrated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .grid import GridFunction
 from .integrators import rk4_step
-from .quasidet import BlockMatrix, quasideterminant
+from .quasidet import eliminate
 from .ring import MatrixElement, NearSingularError, RingElement
 
 MAX_GRID_STEP = 1e-2
@@ -127,18 +130,13 @@ def integrate_linear(v: Callable[[np.ndarray], RingElement], lams,
             for j in range(len(lams))]
 
 
-def _at_point(exc: NearSingularError, f: GridFunction, prefix: str
-              ) -> NearSingularError:
-    # Names the first refused grid point of f.
-    k = exc.indices[0]
-    return exc.relabel(f"{prefix}grid point {k} (z = {f.z(k):.6g})")
-
-
 def _inv_at(f: GridFunction, name: str) -> MatrixElement:
     try:
         return f.batch.inv()
-    except NearSingularError as exc:
-        raise _at_point(exc, f, f"{name} at ") from exc
+    except NearSingularError as exc:  # names the first refused grid point
+        k = exc.indices[0]
+        raise exc.relabel(f"{name} at grid point {k} (z = {f.z(k):.6g})"
+                          ) from exc
 
 
 def _dress(v: GridFunction, factor: MatrixElement) -> GridFunction:
@@ -179,51 +177,35 @@ def _transform(gamma0: complex, chi0: GridFunction, phi0: GridFunction,
             GridFunction(chi0.z0, chi0.h, phi_out))
 
 
-def _weight_matrix(points: Sequence[SpectralPoint], n: int,
-                   first_row_chi: bool) -> BlockMatrix:
-    # Rows r = 0..n carry weights gamma^r and alternate chi/phi entries;
-    # columns run over points[n], points[n-1], ..., points[0].
-    def entry(p, r):
-        base = p.chi if (r % 2 == 0) == first_row_chi else p.phi
-        return (p.gamma ** r) * base.batch
+def stage_eigenfunctions(points: Sequence[SpectralPoint],
+                         invert: Callable[[MatrixElement, int], MatrixElement]
+                         ) -> Iterator[tuple[MatrixElement, ...]]:
+    """Yields (chi, phi, chi^-1) of each stage k = 1..len(points) in turn.
 
-    return BlockMatrix([[entry(p, r) for p in reversed(points[:n + 1])]
-                        for r in range(n + 1)])
-
-
-def quasidet_eigenfunctions(points: Sequence[SpectralPoint], n: int
-                            ) -> tuple[GridFunction, GridFunction]:
-    """n-fold transformed eigenfunctions of points[0] via quasideterminants.
-
-    ``points[1:n+1]`` are the dressing points already consumed; the
-    transformed pair is the boxed bottom-right quasideterminant of the
-    (n+1)x(n+1) alternating array with gamma-power row weights.  n = 0
-    returns the raw pair; n = 1 reproduces dt_eigenfunctions exactly.
+    chi and phi of stage k, the (k-1)-fold transformed eigenfunctions of
+    ``points[k-1]``, are the boxed corner quasideterminants of the leading
+    k x k blocks of two arrays: row r holds gamma^r chi and gamma^r phi
+    alternately, led by chi or phi, and the columns run over the points in
+    chain order.  So they are pivot k-1 of the arrays' eliminations.  The
+    phi array is eliminated first, keeping its pivots, then the chi array,
+    yielding stage k at its pivot k-1.  ``invert(pivot, k)`` inverts each
+    pivot needed once; k is the first stage that its inverse feeds.
     """
-    points = list(points)
-    if len(points) < n + 1:
-        raise ValueError(f"need {n + 1} spectral points, got {len(points)}")
-    target = points[0]
-    if n == 0:
-        return target.chi, target.phi
-    grid = target.chi
-    try:
-        chi = quasideterminant(_weight_matrix(points, n, True), n, n)
-        phi = quasideterminant(_weight_matrix(points, n, False), n, n)
-    except NearSingularError as exc:
-        raise _at_point(exc, grid, "") from exc
-    return (GridFunction(grid.z0, grid.h, chi),
-            GridFunction(grid.z0, grid.h, phi))
+    def weights(chi_first):
+        return [[(p.gamma ** r) * (p.chi if (r % 2 == 0) == chi_first
+                                   else p.phi).batch for p in points]
+                for r in range(len(points))]
 
-
-def theta_factor(points: Sequence[SpectralPoint], k: int) -> GridFunction:
-    """Stage-k dressing factor phi_k[k] * chi_k[k]^-1 as a grid."""
-    # (k-1)-fold transformed eigenfunctions of chain point k (1-based):
-    # target first, then the already-used points 1..k-1.
-    chi_g, phi_g = quasidet_eigenfunctions(
-        [points[k - 1]] + list(points[:k - 1]), k - 1)
-    factor = phi_g.batch * _inv_at(chi_g, f"stage-{k} chi")
-    return GridFunction(chi_g.z0, chi_g.h, factor)
+    m, phis = weights(False), []
+    for k in range(1, len(points) + 1):
+        phis.append(m[0][0])
+        if k < len(points):
+            eliminate(m, invert(m[0][0], k + 1))
+    m = weights(True)
+    for k, phi in enumerate(phis, 1):
+        chi_inv = invert(m[0][0], k)
+        yield m[0][0], phi, chi_inv
+        eliminate(m, chi_inv)
 
 
 def _check_fold(chain: DressingChain, n: int):
@@ -291,23 +273,35 @@ def _masked(route: Callable[[DressingChain], GridFunction],
 def masked_n_fold(chain: DressingChain, n: int
                   ) -> tuple[list[GridFunction], list[np.ndarray]]:
     """All stages v[k] = T_k ... T_1 v T_1 ... T_k, k = 0..n, with
-    per-stage validity masks; T_k is theta_factor(chain.points, k).
+    per-stage validity masks; T_k = phi chi^-1 of stage k from one
+    ``stage_eigenfunctions`` pass over the first n chain points.
 
-    Grid points where a stage factor hits a near-singular inverse are
-    masked there and in every later stage (NaN fill); no exception
-    escapes.  Returns (grids, masks), both of length n + 1.
+    A grid point where a pivot inverse is refused is masked (NaN fill)
+    from the first stage that pivot feeds on: stage k needs chi pivots
+    0..k-1 and phi pivots 0..k-2.  No exception escapes.  Returns
+    (grids, masks), both of length n + 1.
     """
     _check_fold(chain, n)
+    dead = np.full(len(chain.seed), n + 1)  # first stage masking each point
+
+    def invert(pivot, stage):
+        # NaN at the refused grid points, masked from ``stage`` on; the
+        # identity stands in for them while the rest is inverted again.
+        try:
+            return pivot.inv()
+        except NearSingularError as exc:
+            refused = list(exc.indices)
+        dead[refused] = np.minimum(dead[refused], stage)
+        data = pivot.data.copy()
+        data[refused] = np.eye(pivot.d)
+        data = invert(MatrixElement(data), stage).data.copy()
+        data[refused] = complex("nan+nanj")
+        return MatrixElement(data)
+
     grids = [chain.seed]
-    masks = [np.ones(len(chain.seed), dtype=bool)]
-    for k in range(1, n + 1):
-        grid, mask = _masked(
-            lambda sub, k=k: _dress(sub.seed,
-                                    theta_factor(sub.points, k).batch),
-            DressingChain(chain.points[:k], grids[-1]), masks[-1])
-        grids.append(grid)
-        masks.append(mask)
-    return grids, masks
+    for _, phi, chi_inv in stage_eigenfunctions(chain.points[:n], invert):
+        grids.append(_dress(grids[-1], phi * chi_inv))
+    return grids, [dead > k for k in range(n + 1)]
 
 
 def masked_iterated(chain: DressingChain, n: int

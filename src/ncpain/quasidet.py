@@ -179,13 +179,19 @@ def quasideterminant(a: BlockMatrix, i: int, j: int) -> RingElement:
     rows = [r for r in range(n) if r != i] + [i]
     cols = [c for c in range(n) if c != j] + [j]
     m = [[a.entry(r, c) for c in cols] for r in rows]
-    for p in range(n - 1):
-        pivot_inv = inverse(m[p][p], f"submatrix for position ({i},{j})")
-        for r in range(p + 1, n):
-            left = m[r][p] * pivot_inv
-            for c in range(p + 1, n):
-                m[r][c] = m[r][c] - left * m[p][c]
-    return m[-1][-1]
+    while len(m) > 1:
+        eliminate(m, inverse(m[0][0], f"submatrix for position ({i},{j})"))
+    return m[0][0]
+
+
+def eliminate(m: list, pivot_inv: RingElement) -> None:
+    """One elimination step on the square array ``m``, a list of rows, in
+    place: each entry becomes m_rc - (m_r0 pivot_inv) m_0c, with pivot_inv
+    the inverse of m_00, and row 0 and column 0 are dropped."""
+    top = m.pop(0)[1:]
+    for row in m:
+        left = row.pop(0) * pivot_inv
+        row[:] = [x - left * y for x, y in zip(row, top)]
 
 
 def quasideterminant_oracle(a: BlockMatrix, i: int, j: int) -> RingElement:

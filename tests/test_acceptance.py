@@ -23,7 +23,7 @@ from ncpain.laxpair import (PiiState, SymState, build_A, build_B, build_L,
 from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
                              dt_eigenfunctions, integrate_linear,
                              iterated_darboux, masked_n_fold,
-                             quasidet_eigenfunctions)
+                             stage_eigenfunctions)
 from ncpain.cli import main
 from ncpain.solutions import seed_jets, seed_value
 
@@ -263,7 +263,8 @@ def test_criterion_6_darboux_pipeline():
     chain = DressingChain(tuple(points), seed)
 
     # N = 1: quasideterminant eigenfunctions equal the direct formulas
-    qd_chi, qd_phi = quasidet_eigenfunctions([points[1], points[0]], 1)
+    *_, qd_pair = stage_eigenfunctions(points, lambda pivot, k: pivot.inv())
+    qd_chi, qd_phi = (GridFunction(z0, h, f) for f in qd_pair[:2])
     dr_chi, dr_phi = dt_eigenfunctions(points[1].gamma, points[1].chi,
                                        points[1].phi, points[0].gamma,
                                        points[0].chi, points[0].phi)

@@ -10,7 +10,7 @@ from ncpain.dressing import (DressingChain, SpectralPoint, _masked,
                              darboux_once,
                              dt_eigenfunctions, integrate_linear,
                              iterated_darboux, masked_iterated, masked_n_fold,
-                             quasidet_eigenfunctions, theta_factor)
+                             stage_eigenfunctions)
 
 from conftest import gaussian_element, n_fold
 
@@ -39,14 +39,32 @@ def grid_diff(a, b):
     return max((x - y).norm() for x, y in zip(a, b))
 
 
-def weighted_array(points, n, k, first_row_chi):
-    """The gamma-weighted alternating chi/phi array at grid point k alone."""
+def weighted_array(columns, n, k, first_row_chi):
+    """The gamma-weighted alternating chi/phi array over columns[:n + 1],
+    at grid point k alone, or batched over the grid when k is None."""
+    def pick(f):
+        return f.batch if k is None else f[k]
+
     rows = []
     for r in range(n + 1):
         chi_row = (r % 2 == 0) == first_row_chi
-        rows.append([(p.gamma ** r) * (p.chi[k] if chi_row else p.phi[k])
-                     for p in reversed(points[:n + 1])])
+        rows.append([(p.gamma ** r) * pick(p.chi if chi_row else p.phi)
+                     for p in columns[:n + 1]])
     return BlockMatrix(rows)
+
+
+def plain_inverse(pivot, stage):
+    return pivot.inv()
+
+
+def transformed_pair(target, consumed):
+    """(chi, phi) of target transformed by the consumed chain points: the
+    last stage of ``stage_eigenfunctions``, as grids."""
+    *_, (chi, phi, _) = stage_eigenfunctions(list(consumed) + [target],
+                                             plain_inverse)
+    grid = target.chi
+    return (GridFunction(grid.z0, grid.h, chi),
+            GridFunction(grid.z0, grid.h, phi))
 
 
 class TestIntegrateLinear:
@@ -251,7 +269,7 @@ class TestEigenfunctionTransforms:
         p0 = random_point(rng, 2j)
         direct = dt_eigenfunctions(p0.gamma, p0.chi, p0.phi,
                                    p1.gamma, p1.chi, p1.phi)
-        via_qd = quasidet_eigenfunctions([p0, p1], 1)
+        via_qd = transformed_pair(p0, [p1])
         assert grid_diff(via_qd[0], direct[0]) <= 1e-12
         assert grid_diff(via_qd[1], direct[1]) <= 1e-12
 
@@ -267,7 +285,7 @@ class TestEigenfunctionTransforms:
         # step 2: transform the updated target by the updated p2
         direct = dt_eigenfunctions(target.gamma, t_chi, t_phi,
                                    p2.gamma, q_chi, q_phi)
-        via_qd = quasidet_eigenfunctions([target, p1, p2], 2)
+        via_qd = transformed_pair(target, [p1, p2])
         ref = max(1.0, direct[0].sup_norm(), direct[1].sup_norm())
         assert grid_diff(via_qd[0], direct[0]) <= 1e-10 * ref
         assert grid_diff(via_qd[1], direct[1]) <= 1e-10 * ref
@@ -276,23 +294,26 @@ class TestEigenfunctionTransforms:
         # zero weights wipe out whole rows of the eigenfunction array
         points = [random_point(rng, 0.0) for _ in range(3)]
         with pytest.raises(NearSingularError):
-            quasidet_eigenfunctions(points, 2)
+            list(stage_eigenfunctions(points, plain_inverse))
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_quasidet_route_matches_determinant_ratio(self, n):
         # d = 1 oracle sharing no arithmetic with the quasideterminant
-        # route: numpy determinants of the same weighted array.
+        # route: numpy determinants of the same weighted array, the target
+        # column last.
         points = []
-        for gamma in (3j, 1j, 2j)[:n + 1]:
+        for gamma in (3j, 1j, 2j, 0.5j)[:n + 1]:
             [(chi, phi)] = integrate_linear(rational_field, [gamma],
                                             (ONE, ONE), 1.0, 1e-3, 1001)
             points.append(SpectralPoint(gamma, chi, phi))
+        columns = points[1:] + points[:1]
         worst = 0.0
         for first_row_chi, grid in zip((True, False),
-                                       quasidet_eigenfunctions(points, n)):
+                                       transformed_pair(points[0],
+                                                        points[1:])):
             for k in range(len(grid)):
                 expected = determinant_ratio(
-                    weighted_array(points, n, k, first_row_chi), n, n)
+                    weighted_array(columns, n, k, first_row_chi), n, n)
                 got = complex(grid[k].data[0, 0])
                 worst = max(worst, abs(got - expected) / abs(expected))
         assert worst <= 1e-10
@@ -300,8 +321,15 @@ class TestEigenfunctionTransforms:
     def test_zero_gamma_chain_fails_at_second_stage(self, rng):
         p1 = random_point(rng, 0.0)
         p2 = SpectralPoint(0.0, p1.chi, p1.phi)
+        stages = []
+
+        def invert(pivot, stage):
+            stages.append(stage)
+            return pivot.inv()
+
         with pytest.raises(NearSingularError):
-            theta_factor([p1, p2], 2)
+            list(stage_eigenfunctions([p1, p2], invert))
+        assert stages[-1] == 2
 
 
 class TestNFold:
@@ -341,27 +369,72 @@ class TestNFold:
         assert n_fold(chain, 2).sup_norm() == 0.0
 
     def test_matches_pointwise_evaluation_exactly(self, rng):
-        # The same generic formulas evaluated one grid point at a time.
+        # The same generic formulas evaluated one grid point at a time,
+        # the columns in chain order.
         chain = self._chain(rng, n_points=3)
         dressed = n_fold(chain, 3)
         for k in range(len(dressed)):
             acc = chain.seed[k]
             for stage in range(1, 4):
                 n = stage - 1
-                seq = [chain.points[n]] + list(chain.points[:n])
+                seq = chain.points[:stage]
                 chi = quasideterminant(weighted_array(seq, n, k, True), n, n)
                 phi = quasideterminant(weighted_array(seq, n, k, False), n, n)
                 factor = phi * chi.inv()
                 acc = factor * acc * factor
             assert np.array_equal(dressed[k].data, acc.data)
 
-    def test_theta_factor_stage_one(self, rng):
+    def test_stage_one_factor(self, rng):
         chain = self._chain(rng)
-        factor = theta_factor(chain.points, 1)
+        _, phi, chi_inv = next(stage_eigenfunctions(chain.points,
+                                                    plain_inverse))
+        factor = GridFunction(chain.seed.z0, chain.seed.h, phi * chi_inv)
         p = chain.points[0]
         for k in range(len(factor)):
             expected = p.phi[k] * p.chi[k].inv()
             assert (factor[k] - expected).norm() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stage_pairs_match_reversed_column_quasideterminants(self, rng,
+                                                                 d):
+        # Each stage's pair is a quasideterminant, whatever the order of
+        # the columns before the target's; the per-stage arrays had them
+        # reversed, so their pivots differ from the shared elimination's.
+        chain = self._chain(rng, n_points=4, d=d)
+        p = chain.points[0]
+        assert (p.phi.batch * p.chi.batch - p.chi.batch * p.phi.batch
+                ).norm() > 1.0  # genuinely noncommuting data
+        pairs = stage_eigenfunctions(chain.points, plain_inverse)
+        for k, (chi, phi, _) in enumerate(pairs, 1):
+            n = k - 1
+            columns = chain.points[:n][::-1] + chain.points[n:n + 1]
+            for got, chi_first in ((chi, True), (phi, False)):
+                ref = quasideterminant(
+                    weighted_array(columns, n, None, chi_first),
+                    n, n)
+                rel = (got - ref).point_norms() / ref.point_norms()
+                assert rel.max() <= 1e-10
+
+    def test_one_elimination_per_array(self, rng, monkeypatch):
+        # N = 4: the phi array's 20 elimination products and 3 pivot
+        # inverses, the chi array's 20 and 4, one product per factor
+        # phi chi^-1 and two per dressed stage.
+        chain = self._chain(rng, n_points=4, d=3)
+        calls = {"inv": 0, "mul": 0}
+        inv, mul = MatrixElement.inv, MatrixElement._mul
+
+        def counted_inv(self):
+            calls["inv"] += 1
+            return inv(self)
+
+        def counted_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(MatrixElement, "inv", counted_inv)
+        monkeypatch.setattr(MatrixElement, "_mul", counted_mul)
+        n_fold(chain, 4)
+        assert calls == {"inv": 7, "mul": 52}
 
     def test_duplicate_gammas_rejected(self, rng):
         p1 = random_point(rng, 1j)
@@ -481,8 +554,9 @@ class TestMaskedPipeline:
         assert all(m.all() for m in masks)
         # The unmasked stage formulas, composed by hand.
         strict = chain.seed
-        for k in (1, 2):
-            factor = theta_factor(chain.points, k).batch
+        for _, phi, chi_inv in stage_eigenfunctions(chain.points,
+                                                    plain_inverse):
+            factor = phi * chi_inv
             strict = GridFunction(strict.z0, strict.h,
                                   factor * strict.batch * factor)
         assert grid_diff(grids[2], strict) == 0.0
@@ -512,3 +586,54 @@ class TestMaskedPipeline:
         diffs = [(a - b).norm() for a, b, ok in
                  zip(stages[2], direct, masks[2]) if ok]
         assert max(diffs) <= 1e-10 * max(1.0, stages[2].sup_norm(masks[2]))
+
+
+class TestMaskedStages:
+    """Masks above N = 2: a stage masks the grid points that any pivot it
+    needs refuses, and keeps the bits of the unmasked route elsewhere."""
+
+    GAMMAS = (1j, 2j, 3j, 0.5 - 0.5j)
+
+    def _chain(self, rng, n=10):
+        # At grid points 3, 6 and 8 the first eigenfunctions are multiples
+        # of the 2x2 identity, chosen so that one pivot there is exactly 0.
+        # At 3, chi pivot 2: the third column (-3, 21i, 27) of the leading
+        # 3x3 chi array is 5 (1, i, -1) - 8 (1, -2i, -4), so stage 3 is
+        # the first to mask it.  At 6, phi pivot 1:
+        # g1 chi1 - g0 chi0 phi0^-1 phi1 = 2i - i 2, masked from stage 3.
+        # At 8, phi pivot 0, phi0 itself, masked from stage 2.
+        scalars = {3: ((1, 1), (1, -1), (-3, 7)),
+                   6: ((1, 1), (1, 2)),
+                   8: ((1, 0),)}
+        points = []
+        for j, gamma in enumerate(self.GAMMAS):
+            chi, phi = (random_grid(rng, 2, n).batch.data.copy()
+                        for _ in range(2))
+            for k, values in scalars.items():
+                if j < len(values):
+                    chi[k], phi[k] = (x * np.eye(2) for x in values[j])
+            points.append(SpectralPoint(
+                gamma, GridFunction(1.0, 1e-3, MatrixElement(chi)),
+                GridFunction(1.0, 1e-3, MatrixElement(phi))))
+        return DressingChain(tuple(points), random_grid(rng, 2, n))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_masks_and_kept_bits(self, rng, n):
+        chain = self._chain(rng)
+        grids, masks = masked_n_fold(chain, n)
+        masked = [[], [], [8], [3, 6, 8], [3, 6, 8]][:n + 1]
+        assert [np.flatnonzero(~m).tolist() for m in masks] == masked
+        for k in range(1, n + 1):
+            keep = masks[k]
+            gone = grids[k].batch.data[~keep]
+            assert np.isnan(gone.real).all() and np.isnan(gone.imag).all()
+
+            def take(f):
+                return GridFunction(f.z0, f.h, f[np.flatnonzero(keep)])
+
+            sub = DressingChain(tuple(SpectralPoint(p.gamma, take(p.chi),
+                                                    take(p.phi))
+                                      for p in chain.points),
+                                take(chain.seed))
+            assert grids[k].batch.data[keep].tobytes() \
+                == n_fold(sub, k).batch.data.tobytes()
