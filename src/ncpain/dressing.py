@@ -213,24 +213,26 @@ def _check_fold(chain: DressingChain, n: int):
         raise ValueError(f"fold count {n} outside 0..{len(chain.points)}")
 
 
-def iterated_darboux(chain: DressingChain, n: int) -> GridFunction:
+def iterated_darboux(chain: DressingChain, n: int,
+                     invert: Callable[[GridFunction, str], MatrixElement]
+                     = _inv_at) -> GridFunction:
     """v[n] by literal iteration: dress, transform remaining eigenfunctions.
 
     Independent of the quasideterminant route; used to cross-check it.
     Only the first n chain points are used and transformed.  Stage k
-    inverts chi and phi of its point once and reuses phi chi^-1 and
-    chi phi^-1 for every later point, with the bits and refusals of
-    darboux_once and dt_eigenfunctions.
+    inverts chi and phi of its point once, by ``invert(grid, name)``, and
+    reuses phi chi^-1 and chi phi^-1 for every later point: by default
+    with the bits and refusals of darboux_once and dt_eigenfunctions.
     """
     _check_fold(chain, n)
     v = chain.seed
     current = list(chain.points[:n])
     for k in range(n):
         p = current[k]
-        forward = p.phi.batch * _inv_at(p.chi, "chi")
+        forward = p.phi.batch * invert(p.chi, "chi")
         v = _dress(v, forward)
         if k + 1 < n:
-            backward = p.chi.batch * _inv_at(p.phi, "phi1")
+            backward = p.chi.batch * invert(p.phi, "phi1")
         for j in range(k + 1, n):
             q = current[j]
             current[j] = SpectralPoint(q.gamma, *_transform(
@@ -240,34 +242,24 @@ def iterated_darboux(chain: DressingChain, n: int) -> GridFunction:
 
 # -- masked pipeline -------------------------------------------------------
 
-def _masked(route: Callable[[DressingChain], GridFunction],
-            chain: DressingChain, valid: np.ndarray
-            ) -> tuple[GridFunction, np.ndarray]:
-    """route(chain) on the ``valid`` grid points, NaN-filled elsewhere.
-
-    Points a refusal lists are dropped and the strict route reruns on the
-    rest.  Returns the filled grid and the mask of the points it covers.
-    A rerun's sub-grids keep the full grid's z0 and h: routes must not read z.
-    """
-    seed = chain.seed
-    data = np.full(seed.batch.data.shape, complex("nan+nanj"))
-    keep = np.flatnonzero(valid)
-
-    def take(f):  # f on the points still kept (no copy while all are)
-        return f if keep.size == len(f) else GridFunction(f.z0, f.h, f[keep])
-
-    while keep.size:
-        points = [SpectralPoint(p.gamma, take(p.chi), take(p.phi))
-                  for p in chain.points]
+def _masking_inverse(dead: np.ndarray
+                     ) -> Callable[[MatrixElement, int], MatrixElement]:
+    """``invert(pivot, stage)`` for batched pivots that never refuses: at
+    the grid points a refusal lists, ``dead`` keeps the first stage that
+    masks them, the identity stands in while the rest is inverted again,
+    and their inverse is NaN.  No grid is cut: each point keeps its z."""
+    def invert(pivot, stage):
         try:
-            data[keep] = route(DressingChain(points, take(seed))).batch.data
-            break
+            return pivot.inv()
         except NearSingularError as exc:
-            if exc.indices is None:
-                raise
-            keep = np.delete(keep, exc.indices)
-    return (GridFunction(seed.z0, seed.h, MatrixElement(data)),
-            np.isin(np.arange(len(seed)), keep))
+            refused = list(exc.indices)
+        dead[refused] = np.minimum(dead[refused], stage)
+        data = pivot.data.copy()
+        data[refused] = np.eye(pivot.d)
+        data = invert(MatrixElement(data), stage).data.copy()
+        data[refused] = complex("nan+nanj")
+        return MatrixElement(data)
+    return invert
 
 
 def masked_n_fold(chain: DressingChain, n: int
@@ -283,30 +275,20 @@ def masked_n_fold(chain: DressingChain, n: int
     """
     _check_fold(chain, n)
     dead = np.full(len(chain.seed), n + 1)  # first stage masking each point
-
-    def invert(pivot, stage):
-        # NaN at the refused grid points, masked from ``stage`` on; the
-        # identity stands in for them while the rest is inverted again.
-        try:
-            return pivot.inv()
-        except NearSingularError as exc:
-            refused = list(exc.indices)
-        dead[refused] = np.minimum(dead[refused], stage)
-        data = pivot.data.copy()
-        data[refused] = np.eye(pivot.d)
-        data = invert(MatrixElement(data), stage).data.copy()
-        data[refused] = complex("nan+nanj")
-        return MatrixElement(data)
-
     grids = [chain.seed]
-    for _, phi, chi_inv in stage_eigenfunctions(chain.points[:n], invert):
+    for _, phi, chi_inv in stage_eigenfunctions(chain.points[:n],
+                                                _masking_inverse(dead)):
         grids.append(_dress(grids[-1], phi * chi_inv))
     return grids, [dead > k for k in range(n + 1)]
 
 
 def masked_iterated(chain: DressingChain, n: int
                     ) -> tuple[GridFunction, np.ndarray]:
-    """Final stage of the iterated route with a validity mask."""
-    return _masked(lambda sub: iterated_darboux(sub, n),
-                   DressingChain(chain.points[:n], chain.seed),
-                   np.ones(len(chain.seed), dtype=bool))
+    """v[n] of ``iterated_darboux`` with a validity mask, by the rule of
+    ``masked_n_fold``: a point where any inverse is refused is NaN-filled."""
+    dead = np.full(len(chain.seed), n + 1)
+    invert = _masking_inverse(dead)
+    v = iterated_darboux(chain, n, lambda f, _: invert(f.batch, n))
+    data = v.batch.data.copy()
+    data[dead <= n] = complex("nan+nanj")
+    return GridFunction(v.z0, v.h, MatrixElement(data)), dead > n

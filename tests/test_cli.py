@@ -375,6 +375,24 @@ class TestDressCommand:
         report = load_report(tmp_path, "dress_report.json")
         assert report["results"]["quasidet_vs_direct"] <= 1e-10
 
+    # The 400i eigenfunctions grow like exp(800 (z - 1)) and overflow near
+    # the end of the range, where an inverse then refuses them.  Both
+    # routes mask those grid points, so the cross-check reads the rest.
+    @pytest.mark.parametrize("argv, masked, gap", [
+        (["--N", "3", "--gamma", "1,2,400i", "--d", "3"], [0, 0, 0, 127],
+         1e-15),
+        (["--N", "1", "--gamma", "400i"], [0, 112], 0.0)],
+        ids=["third-stage", "first-stage"])
+    def test_masked_points_leave_the_cross_check(self, argv, masked, gap,
+                                                 tmp_path):
+        code = run(["dress", *argv, "--seed", "rational",
+                    "--z", "1:2:0.001"], tmp_path)
+        assert code == 0
+        results = load_report(tmp_path, "dress_report.json")["results"]
+        assert [s["masked_fraction"] for s in results["stages"]] \
+            == pytest.approx([m / 1001 for m in masked])
+        assert results["quasidet_vs_direct"] <= gap
+
     def test_duplicate_gammas_rejected(self, tmp_path):
         assert run(["dress", "--N", "2", "--gamma", "i,i"], tmp_path) == 1
 

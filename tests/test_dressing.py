@@ -6,8 +6,7 @@ from ncpain.quasidet import BlockMatrix, determinant_ratio, quasideterminant
 from ncpain.grid import GridFunction
 from ncpain.laxpair import build_B
 from ncpain.solutions import seed_value
-from ncpain.dressing import (DressingChain, SpectralPoint, _masked,
-                             darboux_once,
+from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
                              dt_eigenfunctions, integrate_linear,
                              iterated_darboux, masked_iterated, masked_n_fold,
                              stage_eigenfunctions)
@@ -37,6 +36,15 @@ def random_point(rng, gamma, d=2, n=8):
 
 def grid_diff(a, b):
     return max((x - y).norm() for x, y in zip(a, b))
+
+
+def take(chain, keep):
+    """The chain on the grid points ``keep`` marks; the grids keep z0 and h."""
+    def cut(f):
+        return GridFunction(f.z0, f.h, f[np.flatnonzero(keep)])
+
+    return DressingChain(tuple(SpectralPoint(p.gamma, cut(p.chi), cut(p.phi))
+                               for p in chain.points), cut(chain.seed))
 
 
 def weighted_array(columns, n, k, first_row_chi):
@@ -508,21 +516,17 @@ class TestIteratedRoute:
         p2 = SpectralPoint(p2.gamma, edit(p2.chi, 8, eye),
                            edit(p2.phi, 8, 0.5 * eye))
         chain = DressingChain((p1, p2, p3, p4), seed)
-        for n in range(5):
+        refused = {0: [], 1: [3], 2: [3, 5, 8], 3: [3, 5, 8], 4: [3, 5, 8]}
+        for n, points in refused.items():
             if n >= 1:
                 assert self._refused(iterated_darboux, chain, n) \
                     == self._refused(literal_iterated, chain, n)
             got, mask = masked_iterated(chain, n)
-            expected, expected_mask = _masked(
-                lambda sub: literal_iterated(sub, n),
-                DressingChain(chain.points[:n], seed),
-                np.ones(len(seed), dtype=bool))
-            assert got.batch.data.tobytes() == expected.batch.data.tobytes()
-            assert mask.tolist() == expected_mask.tolist()
-        refused = {1: [3], 2: [3, 5, 8], 3: [3, 5, 8], 4: [3, 5, 8]}
-        for n, points in refused.items():
-            assert np.flatnonzero(~masked_iterated(chain, n)[1]).tolist() \
-                == points
+            assert np.flatnonzero(~mask).tolist() == points
+            gone = got.batch.data[~mask]
+            assert np.isnan(gone.real).all() and np.isnan(gone.imag).all()
+            assert got.batch.data[mask].tobytes() \
+                == literal_iterated(take(chain, mask), n).batch.data.tobytes()
 
 
 class TestMaskedPipeline:
@@ -587,6 +591,32 @@ class TestMaskedPipeline:
                  zip(stages[2], direct, masks[2]) if ok]
         assert max(diffs) <= 1e-10 * max(1.0, stages[2].sup_norm(masks[2]))
 
+    def test_refusal_found_on_the_retry(self, rng):
+        # chi1 is near-singular at grid point 2 and has a non-finite inverse
+        # at point 5.  An inverse reports the near-singular points alone, so
+        # point 5 is refused only once the identity stands in at point 2.
+        chi1 = random_grid(rng, 2).batch.data.copy()
+        chi1[2] = np.diag([1.0, 1e-14])
+        chi1[5] = 1e-310 * np.eye(2)
+        with pytest.raises(NearSingularError) as first:
+            MatrixElement(chi1).inv()
+        retry = chi1.copy()
+        retry[2] = np.eye(2)
+        with pytest.raises(NearSingularError) as second:
+            MatrixElement(retry).inv()
+        assert (first.value.indices, second.value.indices) == ((2,), (5,))
+        p1 = SpectralPoint(1j, GridFunction(1.0, 1e-3, MatrixElement(chi1)),
+                           random_grid(rng, 2))
+        chain = DressingChain((p1, random_point(rng, 2j)), random_grid(rng, 2))
+        stages, masks = masked_n_fold(chain, 2)
+        assert [np.flatnonzero(~m).tolist() for m in masks] \
+            == [[], [2, 5], [2, 5]]
+        direct, direct_mask = masked_iterated(chain, 2)
+        assert np.flatnonzero(~direct_mask).tolist() == [2, 5]
+        diffs = [(a - b).norm() for a, b, ok in
+                 zip(stages[2], direct, masks[2]) if ok]
+        assert max(diffs) <= 1e-10 * max(1.0, stages[2].sup_norm(masks[2]))
+
 
 class TestMaskedStages:
     """Masks above N = 2: a stage masks the grid points that any pivot it
@@ -627,13 +657,5 @@ class TestMaskedStages:
             keep = masks[k]
             gone = grids[k].batch.data[~keep]
             assert np.isnan(gone.real).all() and np.isnan(gone.imag).all()
-
-            def take(f):
-                return GridFunction(f.z0, f.h, f[np.flatnonzero(keep)])
-
-            sub = DressingChain(tuple(SpectralPoint(p.gamma, take(p.chi),
-                                                    take(p.phi))
-                                      for p in chain.points),
-                                take(chain.seed))
             assert grids[k].batch.data[keep].tobytes() \
-                == n_fold(sub, k).batch.data.tobytes()
+                == n_fold(take(chain, keep), k).batch.data.tobytes()
