@@ -10,21 +10,17 @@ and transforms eigenfunctions at another parameter g0 by
     chi[1] = g0 phi0 - g1 phi1 chi1^-1 chi0
     phi[1] = g0 chi0 - g1 chi1 phi1^-1 phi0.
 
-Iterating yields v[N] = T_N ... T_1 v T_1 ... T_N, where the stage-k
-factor T_k is phi * chi^-1 built from the (k-1)-times transformed
-eigenfunctions of the k-th chain point.  Those eigenfunctions are
-assembled two independent ways: literal iteration of the formulas above,
-and boxed-corner quasideterminants of the alternating chi/phi arrays
-with gamma-power row weights.  Both routes are implemented and
-cross-checked.  In chain order, the quasideterminants of every stage are
-the pivots of one elimination of each N x N array, so that route
-eliminates each array once and inverts each chi pivot once, for the
-elimination and for T_k.  The literal route inverts chi and phi of each
-stage's point once and applies phi chi^-1 and chi phi^-1 to every later
-point; the products associate as in the formulas above, so its bits are
-those of applying the one-step maps one pair at a time.  The dressing
-parameter gamma of each chain point is identified with the spectral
-parameter at which its eigenfunctions were integrated.
+Iterating yields v[N] = T_N ... T_1 v T_1 ... T_N, where T_k = phi chi^-1
+of the (k-1)-times transformed eigenfunctions of the k-th chain point.
+Two independent routes assemble them and cross-check each other:
+``masked_n_fold`` takes boxed-corner quasideterminants of the alternating
+chi/phi arrays with gamma-power row weights, which in chain order are the
+pivots of one elimination of each N x N array; ``masked_iterated``
+iterates the formulas above, inverting chi and phi of each stage's point
+once, with the bits of the one-step maps.  Both mask a grid point from
+the first stage where an inverse is refused or the dressed value is not
+finite.  The dressing parameter gamma of each chain point is identified
+with the spectral parameter at which its eigenfunctions were integrated.
 """
 
 from __future__ import annotations
@@ -208,38 +204,6 @@ def stage_eigenfunctions(points: Sequence[SpectralPoint],
         eliminate(m, chi_inv)
 
 
-def _check_fold(chain: DressingChain, n: int):
-    if n < 0 or n > len(chain.points):
-        raise ValueError(f"fold count {n} outside 0..{len(chain.points)}")
-
-
-def iterated_darboux(chain: DressingChain, n: int,
-                     invert: Callable[[GridFunction, str], MatrixElement]
-                     = _inv_at) -> GridFunction:
-    """v[n] by literal iteration: dress, transform remaining eigenfunctions.
-
-    Independent of the quasideterminant route; used to cross-check it.
-    Only the first n chain points are used and transformed.  Stage k
-    inverts chi and phi of its point once, by ``invert(grid, name)``, and
-    reuses phi chi^-1 and chi phi^-1 for every later point: by default
-    with the bits and refusals of darboux_once and dt_eigenfunctions.
-    """
-    _check_fold(chain, n)
-    v = chain.seed
-    current = list(chain.points[:n])
-    for k in range(n):
-        p = current[k]
-        forward = p.phi.batch * invert(p.chi, "chi")
-        v = _dress(v, forward)
-        if k + 1 < n:
-            backward = p.chi.batch * invert(p.phi, "phi1")
-        for j in range(k + 1, n):
-            q = current[j]
-            current[j] = SpectralPoint(q.gamma, *_transform(
-                q.gamma, q.chi, q.phi, p.gamma, forward, backward))
-    return v
-
-
 # -- masked pipeline -------------------------------------------------------
 
 def _masking_inverse(dead: np.ndarray
@@ -262,33 +226,60 @@ def _masking_inverse(dead: np.ndarray
     return invert
 
 
+def _dress_masked(v, factor, dead, stage):
+    # _dress, masking from ``stage`` on each point it leaves non-finite: an
+    # overflowing product refuses no inverse, so its NaN needs this check.
+    out = _dress(v, factor)
+    bad = ~np.isfinite(out.batch.data).all(axis=(1, 2))
+    dead[bad] = np.minimum(dead[bad], stage)
+    return out
+
+
+def _unmasked(chain: DressingChain, n: int) -> np.ndarray:
+    # ``dead`` for an n-fold route: the first stage masking each point.
+    if n < 0 or n > len(chain.points):
+        raise ValueError(f"fold count {n} outside 0..{len(chain.points)}")
+    return np.full(len(chain.seed), n + 1)
+
+
 def masked_n_fold(chain: DressingChain, n: int
                   ) -> tuple[list[GridFunction], list[np.ndarray]]:
-    """All stages v[k] = T_k ... T_1 v T_1 ... T_k, k = 0..n, with
-    per-stage validity masks; T_k = phi chi^-1 of stage k from one
-    ``stage_eigenfunctions`` pass over the first n chain points.
-
-    A grid point where a pivot inverse is refused is masked (NaN fill)
-    from the first stage that pivot feeds on: stage k needs chi pivots
-    0..k-1 and phi pivots 0..k-2.  No exception escapes.  Returns
-    (grids, masks), both of length n + 1.
+    """All stages v[k] = T_k ... T_1 v T_1 ... T_k, k = 0..n, and their
+    validity masks; T_k = phi chi^-1 of stage k of ``stage_eigenfunctions``
+    over the first n chain points.  A point is masked from the first stage
+    where a pivot inverse it needs is refused (stage k needs chi pivots
+    0..k-1 and phi pivots 0..k-2) or its dressed value is not finite.  No
+    exception escapes.  Returns (grids, masks), both of length n + 1.
     """
-    _check_fold(chain, n)
-    dead = np.full(len(chain.seed), n + 1)  # first stage masking each point
+    dead = _unmasked(chain, n)
     grids = [chain.seed]
-    for _, phi, chi_inv in stage_eigenfunctions(chain.points[:n],
-                                                _masking_inverse(dead)):
-        grids.append(_dress(grids[-1], phi * chi_inv))
+    stages = stage_eigenfunctions(chain.points[:n], _masking_inverse(dead))
+    for k, (_, phi, chi_inv) in enumerate(stages, 1):
+        grids.append(_dress_masked(grids[-1], phi * chi_inv, dead, k))
     return grids, [dead > k for k in range(n + 1)]
 
 
 def masked_iterated(chain: DressingChain, n: int
                     ) -> tuple[GridFunction, np.ndarray]:
-    """v[n] of ``iterated_darboux`` with a validity mask, by the rule of
-    ``masked_n_fold``: a point where any inverse is refused is NaN-filled."""
-    dead = np.full(len(chain.seed), n + 1)
+    """v[n] by literal iteration over the first n chain points, with the
+    mask rule of ``masked_n_fold``; independent of that route, it
+    cross-checks it.  Stage k inverts chi and phi of its point once, by
+    the masking inverse, and reuses phi chi^-1 and chi phi^-1 for every
+    later point, with the bits of darboux_once and dt_eigenfunctions; the
+    NaN of a refused point carries through every later product.
+    """
+    dead = _unmasked(chain, n)
     invert = _masking_inverse(dead)
-    v = iterated_darboux(chain, n, lambda f, _: invert(f.batch, n))
-    data = v.batch.data.copy()
-    data[dead <= n] = complex("nan+nanj")
-    return GridFunction(v.z0, v.h, MatrixElement(data)), dead > n
+    v = chain.seed
+    current = list(chain.points[:n])
+    for k in range(n):
+        p = current[k]
+        forward = p.phi.batch * invert(p.chi.batch, k + 1)
+        v = _dress_masked(v, forward, dead, k + 1)
+        if k + 1 < n:
+            backward = p.chi.batch * invert(p.phi.batch, k + 2)
+        for j in range(k + 1, n):
+            q = current[j]
+            current[j] = SpectralPoint(q.gamma, *_transform(
+                q.gamma, q.chi, q.phi, p.gamma, forward, backward))
+    return v, dead > n

@@ -376,13 +376,18 @@ class TestDressCommand:
         assert report["results"]["quasidet_vs_direct"] <= 1e-10
 
     # The 400i eigenfunctions grow like exp(800 (z - 1)) and overflow near
-    # the end of the range, where an inverse then refuses them.  Both
-    # routes mask those grid points, so the cross-check reads the rest.
+    # the end of the range, where an inverse then refuses them; a little
+    # earlier they stay finite, but a stage that weights them by 400i
+    # overflows there.  Both routes mask those grid points, so the
+    # cross-check reads the rest.
     @pytest.mark.parametrize("argv, masked, gap", [
         (["--N", "3", "--gamma", "1,2,400i", "--d", "3"], [0, 0, 0, 127],
          1e-15),
-        (["--N", "1", "--gamma", "400i"], [0, 112], 0.0)],
-        ids=["third-stage", "first-stage"])
+        (["--N", "1", "--gamma", "400i"], [0, 112], 0.0),
+        (["--N", "2", "--gamma", "400i,1", "--d", "2"], [0, 112, 119], 1e-14),
+        (["--N", "2", "--gamma", "1,400i"], [0, 0, 119], 1e-15)],
+        ids=["third-stage", "first-stage", "overflow-after-first",
+             "overflow-in-second"])
     def test_masked_points_leave_the_cross_check(self, argv, masked, gap,
                                                  tmp_path):
         code = run(["dress", *argv, "--seed", "rational",

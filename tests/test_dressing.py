@@ -8,7 +8,7 @@ from ncpain.laxpair import build_B
 from ncpain.solutions import seed_value
 from ncpain.dressing import (DressingChain, SpectralPoint, darboux_once,
                              dt_eigenfunctions, integrate_linear,
-                             iterated_darboux, masked_iterated, masked_n_fold,
+                             masked_iterated, masked_n_fold,
                              stage_eigenfunctions)
 
 from conftest import gaussian_element, n_fold
@@ -45,6 +45,13 @@ def take(chain, keep):
 
     return DressingChain(tuple(SpectralPoint(p.gamma, cut(p.chi), cut(p.phi))
                                for p in chain.points), cut(chain.seed))
+
+
+def edit(f, k, value):
+    """The grid f with ``value`` at grid point k."""
+    data = f.batch.data.copy()
+    data[k] = value
+    return GridFunction(f.z0, f.h, MatrixElement(data))
 
 
 def weighted_array(columns, n, k, first_row_chi):
@@ -298,6 +305,21 @@ class TestEigenfunctionTransforms:
         assert grid_diff(via_qd[0], direct[0]) <= 1e-10 * ref
         assert grid_diff(via_qd[1], direct[1]) <= 1e-10 * ref
 
+    def test_refusals_name_the_inverse_and_the_grid_point(self, rng):
+        chi0, phi0 = random_grid(rng, 3), random_grid(rng, 3)
+        chi1, phi1 = random_grid(rng, 3), random_grid(rng, 3)
+
+        with pytest.raises(NearSingularError) as err:
+            dt_eigenfunctions(2j, chi0, phi0, 1j, edit(chi1, 3, 0.0), phi1)
+        assert str(err.value) == ("matrix is near-singular (condition ~ inf)"
+                                  " [chi1 at grid point 3 (z = 1.003)]")
+        rank_one = np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5])
+        with pytest.raises(NearSingularError) as err:
+            dt_eigenfunctions(2j, chi0, phi0, 1j, chi1,
+                              edit(phi1, 5, rank_one))
+        assert str(err.value).endswith(" [phi1 at grid point 5 (z = 1.005)]")
+        assert err.value.indices == (5,)
+
     def test_all_zero_gammas_degenerate(self, rng):
         # zero weights wipe out whole rows of the eigenfunction array
         points = [random_point(rng, 0.0) for _ in range(3)]
@@ -360,13 +382,15 @@ class TestNFold:
     def test_two_fold_equals_iterated(self, rng):
         chain = self._chain(rng, n_points=2)
         a = n_fold(chain, 2)
-        b = iterated_darboux(chain, 2)
+        b, mask = masked_iterated(chain, 2)
+        assert mask.all()
         assert grid_diff(a, b) <= 1e-10 * max(1.0, b.sup_norm())
 
     def test_three_fold_cross_check(self, rng):
         chain = self._chain(rng, n_points=3)
         a = n_fold(chain, 3)
-        b = iterated_darboux(chain, 3)
+        b, mask = masked_iterated(chain, 3)
+        assert mask.all()
         assert grid_diff(a, b) <= 1e-8 * max(1.0, b.sup_norm())
 
     def test_zero_seed_fixed_point_exact(self, rng):
@@ -472,8 +496,8 @@ def literal_iterated(chain, n):
 
 
 class TestIteratedRoute:
-    """iterated_darboux inverts each stage's chi and phi once; it must give
-    the bits, the refusals and the masks of the literal composition."""
+    """masked_iterated inverts each stage's chi and phi once; it must give
+    the bits of the literal composition, and mask the points it refuses."""
 
     GAMMAS = (1j, 2j, 0.5 - 0.5j, -1.5 + 0.25j)
 
@@ -481,34 +505,25 @@ class TestIteratedRoute:
         points = tuple(random_point(rng, g, d=3, n=n) for g in self.GAMMAS)
         return DressingChain(points, random_grid(rng, 3, n))
 
-    def _refused(self, route, chain, n):
-        with pytest.raises(NearSingularError) as err:
-            route(chain, n)
-        return str(err.value), err.value.condition, err.value.indices
-
     def test_noncommuting_chain_matches_the_composition(self, rng):
         chain = self._chain(rng)
         p = chain.points[0]
         assert (p.phi.batch * p.chi.batch - p.chi.batch * p.phi.batch
                 ).norm() > 1.0  # genuinely noncommuting data
         for n in range(5):
-            assert iterated_darboux(chain, n).batch.data.tobytes() \
+            got, mask = masked_iterated(chain, n)
+            assert mask.all()
+            assert got.batch.data.tobytes() \
                 == literal_iterated(chain, n).batch.data.tobytes()
 
     def test_refusals_and_masks_match_the_composition(self, rng):
-        # Grid point 3: chi of point 1 is zero, refused at stage 1 ("chi").
-        # Grid point 5: phi of point 1 is rank one, refused at stage 1 once
-        # later points remain ("phi1").  Grid point 8: every eigenfunction
+        # Grid point 3: chi of point 1 is zero, refused at stage 1.  Grid
+        # point 5: phi of point 1 is rank one, refused at stage 1 once later
+        # points remain.  Grid point 8: every eigenfunction
         # is a multiple of the identity chosen so that the stage-2 chi,
         # 2i (0.5) - 1i (1)(1)^-1 (1), is exactly zero.
         chain = self._chain(rng)
         (p1, p2, p3, p4), seed = chain.points, chain.seed
-
-        def edit(f, k, value):
-            data = f.batch.data.copy()
-            data[k] = value
-            return GridFunction(f.z0, f.h, MatrixElement(data))
-
         eye = np.eye(3)
         rank_one = np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5])
         p1 = SpectralPoint(p1.gamma, edit(edit(p1.chi, 3, 0.0), 8, eye),
@@ -518,9 +533,6 @@ class TestIteratedRoute:
         chain = DressingChain((p1, p2, p3, p4), seed)
         refused = {0: [], 1: [3], 2: [3, 5, 8], 3: [3, 5, 8], 4: [3, 5, 8]}
         for n, points in refused.items():
-            if n >= 1:
-                assert self._refused(iterated_darboux, chain, n) \
-                    == self._refused(literal_iterated, chain, n)
             got, mask = masked_iterated(chain, n)
             assert np.flatnonzero(~mask).tolist() == points
             gone = got.batch.data[~mask]
@@ -613,6 +625,28 @@ class TestMaskedPipeline:
             == [[], [2, 5], [2, 5]]
         direct, direct_mask = masked_iterated(chain, 2)
         assert np.flatnonzero(~direct_mask).tolist() == [2, 5]
+        diffs = [(a - b).norm() for a, b, ok in
+                 zip(stages[2], direct, masks[2]) if ok]
+        assert max(diffs) <= 1e-10 * max(1.0, stages[2].sup_norm(masks[2]))
+
+    def test_non_finite_dressed_points_are_masked(self, rng):
+        # At grid point 6, phi of the first point is 1e200: every inverse is
+        # accepted, but phi chi^-1 v phi chi^-1 overflows.  No refusal
+        # names the point, yet both routes mask it from stage 1 on.
+        n = 10
+        phi1 = random_grid(rng, 1, n).batch.data.copy()
+        phi1[6] = 1e200
+        p1 = SpectralPoint(1j, random_grid(rng, 1, n),
+                           GridFunction(1.0, 1e-3, MatrixElement(phi1)))
+        chain = DressingChain((p1, random_point(rng, 2j, d=1, n=n)),
+                              random_grid(rng, 1, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stages, masks = masked_n_fold(chain, 2)
+            direct, direct_mask = masked_iterated(chain, 2)
+        assert not np.isfinite(stages[1].batch.data[6]).all()
+        assert [np.flatnonzero(~m).tolist() for m in masks] \
+            == [[], [6], [6]]
+        assert np.flatnonzero(~direct_mask).tolist() == [6]
         diffs = [(a - b).norm() for a, b, ok in
                  zip(stages[2], direct, masks[2]) if ok]
         assert max(diffs) <= 1e-10 * max(1.0, stages[2].sup_norm(masks[2]))
